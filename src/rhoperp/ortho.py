@@ -71,6 +71,14 @@ def _norms(x, y):
     return x, y, module_norm(x), module_norm(y)
 
 
+def _face_numrange(x, y, tol: float, scale: float):
+    """Top face of x and 0 in W(V* <x, y> V) for it, at absolute slack
+    tol * scale: the Birkhoff-James decision for a nonzero x."""
+    face = top_face(x)
+    comp = face_compression(face, inner_product(x, y))
+    return face, zero_in_numrange(comp, tol * scale / (1.0 + operator_norm(comp)))
+
+
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Inner-product orthogonality <x, y> = 0."""
     x, y, nx, ny = _norms(x, y)
@@ -94,10 +102,7 @@ def is_bj(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     if nx <= ZERO_NORM_TOL:
         return OrthoReport(Relation.BJ, True, 0.0, tol / 2.0,
                            witness=maximally_mixed(x.shape[1]))
-    face = top_face(x)
-    comp = face_compression(face, inner_product(x, y))
-    inner_tol = tol * scale / (1.0 + operator_norm(comp))
-    res = zero_in_numrange(comp, inner_tol)
+    face, res = _face_numrange(x, y, tol, scale)
     margin = res.margin / scale
     data = {"support_min": res.margin}
     if res.contains_zero:
@@ -218,15 +223,14 @@ def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> 
         v = np.zeros(x.shape[1], dtype=np.complex128)
         v[0] = 1.0
         return v
-    face = top_face(x)
     if real:
+        face = top_face(x)
         h = (inner_product(x, y) + inner_product(y, x)) / 2.0
         z, val = _zero_quadratic_vector(face_compression(face, h))
         if abs(val) > tol * scale:
             raise PreconditionFailed("real-scalar Birkhoff-James orthogonality does not hold")
     else:
-        comp = face_compression(face, inner_product(x, y))
-        res = zero_in_numrange(comp, tol * scale / (1.0 + operator_norm(comp)))
+        face, res = _face_numrange(x, y, tol, scale)
         if not res.contains_zero:
             raise PreconditionFailed("Birkhoff-James orthogonality does not hold")
         z = res.vector

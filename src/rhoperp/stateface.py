@@ -11,10 +11,14 @@ with an explicit certificate either way:
 * membership: a unit vector ``z`` with ``|z* M z| <= tol (1 + ||M||)``;
 * separation: an angle ``t`` with ``lambda_max(Re(e^{it} M)) < -tol (1 + ||M||)/2``.
 
-The decision itself minimizes the support function
+The decision minimizes the support function
 ``g(t) = lambda_max((e^{it} M + e^{-it} M*)/2)`` over the circle; for a
 convex set this minimum is the signed distance from 0 to the boundary of
 the range.
+
+The membership vector comes from one construction on an inner polygon of
+W(M) (see :func:`zero_in_numrange`): R. Carden, "A simple algorithm for
+the inverse field of values problem", Inverse Problems 25 (2009) 115019.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import ConvexHull, QhullError
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import inner_product, module_norm
@@ -36,6 +38,9 @@ ZERO_NORM_TOL = 1e-12
 _SUPPORT_GRID = 720
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Boundary points added to the certificate's inner polygon before it stops.
+_CERTIFICATE_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -176,15 +181,6 @@ class NumRangeCertificate:
     residual: float | None
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
-def _skew_herm(m: np.ndarray) -> np.ndarray:
-    # Hermitian G with M = H + iG after rotation.
-    return (m - m.conj().T) / 2.0j
-
-
 def _support_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """lambda_max(Re(e^{it} M)) for a batch of angles."""
     ph = np.exp(1j * thetas).reshape(-1, 1, 1)
@@ -193,8 +189,8 @@ def _support_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _support_value(m: np.ndarray, theta: float) -> float:
-    h = _herm(np.exp(1j * theta) * m)
-    return float(np.linalg.eigvalsh(h)[-1])
+    k = np.exp(1j * theta) * m
+    return float(np.linalg.eigvalsh((k + k.conj().T) / 2.0)[-1])
 
 
 def _golden_min(f, lo: float, hi: float, width: float = 1e-12) -> tuple[float, float]:
@@ -259,268 +255,117 @@ def _zero_quadratic_vector(c: np.ndarray) -> tuple[np.ndarray, float]:
     return z / np.linalg.norm(z), 0.0
 
 
-def _pair_path_vector(lu: float, u: np.ndarray, lw: float, w: np.ndarray,
-                      g: np.ndarray) -> np.ndarray:
-    """Zero of the H-form along cos(s) u + e^{i gamma} sin(s) w, with the
-    phase chosen to cancel (or minimize) the G-form as well.
+def _cross(u: complex, w: complex) -> float:
+    """z-component of the planar cross product of u and w."""
+    return (u.conjugate() * w).imag
 
-    u, w are orthonormal eigenvectors of the Hermitian part with
-    eigenvalues lu >= 0 >= lw, so the H-form along the path is exactly
-    cos^2 lu + sin^2 lw, independent of the phase.
+
+def _support_points(m: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary points of W(M) with the given outward normal angles.
+
+    The point with outward normal e^{i nu} is v* M v for the top
+    eigenvector v of Re(e^{-i nu} M); all angles share one eigh call.
     """
-    lu = max(lu, 0.0)
-    lw = min(lw, 0.0)
-    if lu - lw == 0.0:
-        s = 0.0
-    else:
-        s = np.arctan2(np.sqrt(lu), np.sqrt(-lw))
-    cs, sn = np.cos(s), np.sin(s)
-    a = (u.conj() @ g @ u).real
-    b = (w.conj() @ g @ w).real
-    cross = complex(u.conj() @ g @ w)
-    base = cs * cs * a + sn * sn * b
-    denom = 2.0 * cs * sn
-    if denom > 0.0 and abs(cross) > 0.0:
-        want = np.clip(-base / (denom * abs(cross)), -1.0, 1.0)
-        gamma = -np.angle(cross) + np.arccos(want)
-    else:
-        gamma = 0.0
-    z = cs * u + np.exp(1j * gamma) * sn * w
-    return z / np.linalg.norm(z)
-
-
-def _solve_2x2(b: np.ndarray, mu: complex, tol_abs: float) -> np.ndarray | None:
-    """Unit eta in C^2 with eta* B eta = mu, for mu inside W(B).
-
-    Parametrizes eta = (cos t, e^{i g} sin t) and solves the two real
-    equations by a dense scan followed by damped Newton iterations.
-    """
-    bs = b - mu * np.eye(2)
-
-    def value(t, g):
-        c, s = np.cos(t), np.sin(t)
-        return (c * c * bs[0, 0] + s * s * bs[1, 1]
-                + c * s * (np.exp(1j * g) * bs[0, 1] + np.exp(-1j * g) * bs[1, 0]))
-
-    ts = np.linspace(0.0, np.pi / 2.0, 97)
-    gs = np.linspace(0.0, 2.0 * np.pi, 192, endpoint=False)
-    tt, gg = np.meshgrid(ts, gs, indexing="ij")
-    c, s = np.cos(tt), np.sin(tt)
-    vals = (c * c * bs[0, 0] + s * s * bs[1, 1]
-            + c * s * (np.exp(1j * gg) * bs[0, 1] + np.exp(-1j * gg) * bs[1, 0]))
-    i, j = np.unravel_index(np.argmin(np.abs(vals)), vals.shape)
-    t, g = float(tt[i, j]), float(gg[i, j])
-
-    f = value(t, g)
-    for _ in range(60):
-        if abs(f) <= 1e-16 * (1.0 + np.abs(bs).max()):
-            break
-        c, s = np.cos(t), np.sin(t)
-        cross = np.exp(1j * g) * bs[0, 1] + np.exp(-1j * g) * bs[1, 0]
-        dt = np.sin(2 * t) * (bs[1, 1] - bs[0, 0]) + np.cos(2 * t) * cross
-        dg = c * s * 1j * (np.exp(1j * g) * bs[0, 1] - np.exp(-1j * g) * bs[1, 0])
-        jac = np.array([[dt.real, dg.real], [dt.imag, dg.imag]])
-        rhs = -np.array([f.real, f.imag])
-        step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        scale = 1.0
-        for _ in range(30):
-            fn = value(t + scale * step[0], g + scale * step[1])
-            if abs(fn) < abs(f):
-                t, g, f = t + scale * step[0], g + scale * step[1], fn
-                break
-            scale /= 2.0
-        else:
-            break
-
-    if abs(f) > tol_abs:
-        # Derivative-free fallback for degenerate Jacobians.
-        res = minimize(lambda p: abs(value(p[0], p[1])) ** 2, x0=[t, g],
-                       method="Nelder-Mead",
-                       options={"xatol": 1e-14, "fatol": 1e-30, "maxiter": 400})
-        t, g = res.x
-        if abs(value(t, g)) > tol_abs:
-            return None
-    eta = np.array([np.cos(t), np.exp(1j * g) * np.sin(t)], dtype=np.complex128)
-    return eta / np.linalg.norm(eta)
-
-
-def _attain_on_segment(m: np.ndarray, z1: np.ndarray, z2: np.ndarray,
-                       mu: complex, tol_abs: float) -> np.ndarray | None:
-    """Unit z in span{z1, z2} with z* M z = mu, for mu between the values
-    attained by z1 and z2 (the 2x2 compression range contains both)."""
-    b1 = z1 / np.linalg.norm(z1)
-    w = z2 - (b1.conj() @ z2) * b1
-    nw = np.linalg.norm(w)
-    if nw < 1e-14:
-        return b1 if abs(_quad_form(m, b1) - mu) <= tol_abs else None
-    b2 = w / nw
-    basis = np.column_stack([b1, b2])
-    comp = basis.conj().T @ m @ basis
-    eta = _solve_2x2(comp, mu, tol_abs)
-    if eta is None:
-        return None
-    z = basis @ eta
-    return z / np.linalg.norm(z)
-
-
-def _boundary_points(m: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Attained boundary points v* M v for the top eigenvectors of the
-    rotated Hermitian parts at ``count`` angles."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
-    ph = np.exp(1j * thetas).reshape(-1, 1, 1)
-    stack = (ph * m + ph.conj() * m.conj().T) / 2.0
-    _, vecs = np.linalg.eigh(stack)
+    ph = np.exp(-1j * normals).reshape(-1, 1, 1)
+    _, vecs = np.linalg.eigh((ph * m + ph.conj() * m.conj().T) / 2.0)
     v = vecs[..., -1]
-    pts = np.einsum("ti,ij,tj->t", v.conj(), m, v)
-    return pts, v
+    return np.einsum("ti,ij,tj->t", v.conj(), m, v), v
 
 
-def _triangle_certificate(m: np.ndarray, count: int, tol_abs: float) -> np.ndarray | None:
-    """Certificate from an inner polygonal approximation of W(M).
+def _carden_step(m: np.ndarray, z1: np.ndarray, z2: np.ndarray, mu: complex) -> np.ndarray:
+    """Unit z in span{z1, z2} with z* M z = mu, for unit z1, z2 whose values
+    bracket mu on a segment (Carden 2009, closed form).
 
-    Finds three attained boundary points whose triangle contains 0 and
-    reduces to two 2x2 inverse problems along the cevian through 0.
-    Falls back to a segment solve when the range is (numerically) a line
-    segment.  Returns None when 0 is not safely inside the polygon.
+    Rotating A = e^{-i arg(a1 - a2)} (M - mu) makes the two values real
+    with opposite signs; the phase phi makes the cross term of
+    z = z1 + t e^{i phi} z2 real, which leaves a real quadratic in t with
+    roots of both signs.  A target at or beyond an end returns that end.
     """
-    pts, v = _boundary_points(m, count)
-    xy = np.column_stack([pts.real, pts.imag])
-    center = xy.mean(axis=0)
-    spread = np.linalg.svd(xy - center, compute_uv=False)
-    nrm = np.abs(pts).max() + 1e-30
+    a1, a2 = _quad_form(m, z1), _quad_form(m, z2)
+    if a1 == a2:
+        return z1
+    a = np.conj(a1 - a2) / abs(a1 - a2) * (m - mu * np.eye(m.shape[0]))
+    h1, h2 = _quad_form(a, z1).real, _quad_form(a, z2).real
+    if h1 <= 0.0:
+        return z1
+    if h2 >= 0.0:
+        return z2
+    c12, c21 = complex(z1.conj() @ a @ z2), complex(z2.conj() @ a @ z1)
+    phase = np.exp(-1j * np.angle(c12 - np.conj(c21)))
+    b = (phase * c12 + np.conj(phase) * c21).real
+    # stable root of h2 t^2 + b t + h1 = 0
+    t = -2.0 * h1 / (b + np.copysign(np.sqrt(b * b - 4.0 * h1 * h2), b))
+    z = z1 + t * phase * z2
+    return z / np.linalg.norm(z)
 
-    if spread[1] <= 1e-12 * (1.0 + nrm):
-        # Collinear range: pick the extreme points along the line.
-        direction = pts[np.argmax(np.abs(pts - pts.mean()))] - pts.mean()
-        if abs(direction) < 1e-14 * (1.0 + nrm):
-            direction = 1.0 + 0.0j
-        direction /= abs(direction)
-        proj = (pts * direction.conjugate()).real
-        i_lo, i_hi = int(np.argmin(proj)), int(np.argmax(proj))
-        if proj[i_lo] > tol_abs or proj[i_hi] < -tol_abs:
-            return None
-        return _attain_on_segment(m, v[i_lo], v[i_hi], 0.0, tol_abs)
 
-    try:
-        hull = ConvexHull(xy)
-    except QhullError:
-        return None
-    # hull.equations rows are (a, b, c) with a x + b y + c <= 0 inside;
-    # the value at the origin is just c.
-    if np.max(hull.equations[:, 2]) > -max(tol_abs / 10.0, 1e-13 * (1.0 + nrm)):
-        return None
-    verts = hull.vertices
-    pa, va = pts[verts[0]], v[verts[0]]
-    for i in range(1, len(verts) - 1):
-        pb, pc = pts[verts[i]], pts[verts[i + 1]]
-        vb, vc = v[verts[i]], v[verts[i + 1]]
-        mat = np.array([[pa.real - pc.real, pb.real - pc.real],
-                        [pa.imag - pc.imag, pb.imag - pc.imag]])
-        try:
-            al, be = np.linalg.solve(mat, [-pc.real, -pc.imag])
-        except np.linalg.LinAlgError:
+def _fan_certificate(m: np.ndarray, pts: np.ndarray, vecs: np.ndarray) -> np.ndarray | None:
+    """Unit z with z* M z = 0 when 0 lies in a fan triangle (p0, pi, pi+1)
+    of the polygon, else None: one step reaches the point q where the ray
+    from p0 through 0 meets [pi, pi+1], a second goes from p0 to 0."""
+    a = pts[0]
+    for i in range(1, len(pts) - 1):
+        b, c = pts[i], pts[i + 1]
+        det = _cross(b - a, c - a)
+        if det <= 1e-12 * abs(b - a) * abs(c - a):
             continue
-        ga = 1.0 - al - be
-        if min(al, be, ga) < -1e-12:
+        wb, wc = _cross(-a, c - a) / det, _cross(b - a, -a) / det
+        # the slack keeps a 0 on a diagonal from falling between two triangles
+        if min(wb, wc, 1.0 - wb - wc) < -1e-12:
             continue
-        if be + ga <= 1e-14:
-            return va / np.linalg.norm(va)
-        q = (be * pb + ga * pc) / (be + ga)
-        zq = _attain_on_segment(m, vb, vc, q, tol_abs)
-        if zq is None:
-            continue
-        z = _attain_on_segment(m, va, zq, 0.0, tol_abs)
-        if z is not None:
-            return z
+        if wb + wc <= 1e-12:  # 0 is p0 itself
+            return vecs[0]
+        zq = _carden_step(m, vecs[i], vecs[i + 1], (wb * b + wc * c) / (wb + wc))
+        return _carden_step(m, vecs[0], zq, 0.0)
     return None
 
 
-def _polish(m: np.ndarray, z0: np.ndarray, iters: int = 300) -> np.ndarray:
-    """Projected gradient descent on |z* M z|^2 over the unit sphere."""
-    z = z0 / np.linalg.norm(z0)
-    nrm = operator_norm(m)
-    step = 0.5 / (1.0 + nrm * nrm)
-    for _ in range(iters):
-        q = _quad_form(m, z)
-        if abs(q) <= 1e-17 * (1.0 + nrm):
+def _nearest_on_polygon(pts: np.ndarray) -> tuple[int, complex]:
+    """Index i and point q of the edge [p_i, p_{i+1}] (cyclic) nearest to 0."""
+    d = np.roll(pts, -1) - pts
+    den = np.abs(d) ** 2
+    s = np.divide((d.conj() * -pts).real, den, out=np.zeros(len(pts)), where=den > 0.0)
+    q = pts + np.clip(s, 0.0, 1.0) * d
+    i = int(np.argmin(np.abs(q)))
+    return i, complex(q[i])
+
+
+def _zero_certificate(m: np.ndarray, theta_star: float,
+                      tol_abs: float) -> tuple[np.ndarray, float]:
+    """Unit z and |z* M z| from the inner polygon described in
+    :func:`zero_in_numrange`."""
+    normals = np.sort(-(theta_star + 0.5 * np.pi * np.arange(4)) % (2.0 * np.pi))
+    pts, vecs = _support_points(m, normals)
+    for _ in range(_CERTIFICATE_ROUNDS):
+        z = _fan_certificate(m, pts, vecs)
+        if z is not None:
             break
-        grad = np.conj(q) * (m @ z) + q * (m.conj().T @ z)
-        grad = grad - z * (z.conj() @ grad).real
-        improved = False
-        eta = step
-        for _ in range(40):
-            zn = z - eta * grad
-            zn = zn / np.linalg.norm(zn)
-            if abs(_quad_form(m, zn)) < abs(q):
-                z, improved = zn, True
-                break
-            eta /= 2.0
-        if not improved:
+        i, q = _nearest_on_polygon(pts)
+        z = _carden_step(m, vecs[i], vecs[(i + 1) % len(pts)], q)
+        if abs(q) <= tol_abs:
             break
-    return z
-
-
-def _zero_certificate(m: np.ndarray, theta_star: float, tol_abs: float,
-                      nrm: float) -> tuple[np.ndarray, float]:
-    """Layered construction of a unit z with |z* M z| <= tol_abs, assuming
-    the support-function minimum is >= -tol_abs/2.  Every candidate is
-    verified; the best one is returned regardless."""
-    best_z, best_r = None, np.inf
-
-    def consider(z):
-        nonlocal best_z, best_r
-        if z is None:
-            return False
-        z = z / np.linalg.norm(z)
-        r = abs(_quad_form(m, z))
-        if r < best_r:
-            best_z, best_r = z, r
-        return r <= tol_abs
-
-    # Eigenvector with the smallest eigenvalue modulus attains that value.
-    w, vr = np.linalg.eig(m)
-    if consider(vr[:, np.argmin(np.abs(w))]):
-        return best_z, best_r
-
-    k_rot = np.exp(1j * theta_star) * m
-    h, g = _herm(k_rot), _skew_herm(k_rot)
-
-    # Boundary route: top eigenspace of H, zero-interpolation of G on it.
-    vals, vecs = np.linalg.eigh(h)
-    lam_max = vals[-1]
-    window = max(0.25 * tol_abs, 1e-12 * (1.0 + nrm))
-    sel = vecs[:, vals >= lam_max - window]
-    zf, _ = _zero_quadratic_vector(sel.conj().T @ g @ sel)
-    if consider(sel @ zf):
-        return best_z, best_r
-
-    # Opposite-sign eigenvector pairs with closed-form path zeros.
-    for a_mat, b_mat in ((h, g), (g, h)):
-        av, au = np.linalg.eigh(a_mat)
-        pos = [i for i in range(len(av)) if av[i] >= -tol_abs][::-1]
-        neg = [i for i in range(len(av)) if av[i] <= tol_abs]
-        for i in pos[:4]:
-            for j in neg[:4]:
-                if i == j:
-                    continue
-                z = _pair_path_vector(av[i], au[:, i], av[j], au[:, j], b_mat)
-                if consider(z):
-                    return best_z, best_r
-
-    for count in (720, 2880):
-        if consider(_triangle_certificate(m, count, tol_abs)):
-            return best_z, best_r
-
-    consider(_polish(m, best_z))
-    return best_z, best_r
+        nu = np.angle(-q) % (2.0 * np.pi)
+        p, v = _support_points(m, np.array([nu]))
+        j = int(np.searchsorted(normals, nu))
+        normals, pts, vecs = (np.insert(normals, j, nu), np.insert(pts, j, p[0]),
+                              np.insert(vecs, j, v[0], axis=0))
+    return z, abs(_quad_form(m, z))
 
 
 def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     """Decide 0 in W(M) with a certificate either way.
 
     Membership holds iff ``min_t lambda_max(Re(e^{it} M)) >= 0``; the
-    implemented decision allows slack ``tol (1 + ||M||) / 2`` around the
-    boundary, inside which a membership certificate is still achievable.
+    decision allows slack ``tol (1 + ||M||) / 2``, so a member lies within
+    that distance of W(M).  Its vector comes from an inner polygon of W(M)
+    (Carden 2009) whose vertices are boundary points ``v* M v``, v a top
+    eigenvector of ``Re(e^{it} M)``, first at the support minimizer and
+    three quarter turns from it.  If 0 lies in a fan triangle of the
+    polygon, two closed-form steps give ``z* M z = 0``; else the polygon's
+    point q nearest to 0 is taken once ``|q| <= tol (1 + ||M||)``, and
+    until then the boundary point with outward normal ``-q/|q|`` is added,
+    at most ``_CERTIFICATE_ROUNDS`` times.  ``residual`` is the achieved
+    ``|z* M z|``.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
@@ -531,5 +376,5 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     if g_star < -0.5 * tol_abs:
         return NumRangeCertificate(False, margin=g_star, vector=None,
                                    angle=theta_star, residual=None)
-    z, r = _zero_certificate(m, theta_star, tol_abs, nrm)
+    z, r = _zero_certificate(m, theta_star, tol_abs)
     return NumRangeCertificate(True, margin=g_star, vector=z, angle=None, residual=r)

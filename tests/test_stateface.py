@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      cauchy_schwarz_gap, face_compression, inner_product,
                      maximally_mixed, module_norm, operator_norm,
                      state_from_face_vector, state_value, top_face,
                      zero_in_numrange)
+from rhoperp.stateface import _carden_step
 from rhoperp.verify import (incomparability_triple, random_degenerate_element,
                             random_element, random_state)
 
@@ -163,6 +165,109 @@ def test_zero_in_numrange_rotation_consistency():
         res2 = zero_in_numrange(np.exp(1j * theta) * m)
         assert res2.contains_zero
         assert res2.residual <= 1e-9 * (1.0 + operator_norm(m))
+
+
+def _haar_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _normal_matrix(rng, eigs):
+    u = _haar_unitary(rng, len(eigs))
+    return u @ np.diag(eigs) @ u.conj().T
+
+
+def _assert_member(m, tol=1e-9):
+    res = zero_in_numrange(m, tol)
+    assert res.contains_zero
+    z = res.vector
+    assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+    assert res.residual == pytest.approx(abs(z.conj() @ m @ z), rel=1e-6, abs=0.0)
+    assert res.residual <= tol * (1.0 + operator_norm(m))
+    return res
+
+
+def test_zero_in_numrange_normal_corner_and_edge():
+    rng = np.random.default_rng(19)
+    for k in range(2, 7):
+        for _ in range(8):
+            lam = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            # 0 at an eigenvalue: a corner of the polygon or a point inside it
+            _assert_member(_normal_matrix(rng, lam - lam[0]))
+            # 0 inside the segment between two eigenvalues
+            s = rng.uniform(0.05, 0.95)
+            _assert_member(_normal_matrix(rng, lam - (s * lam[0] + (1.0 - s) * lam[1])))
+        # eigenvalues in convex position: 0 at a corner, then inside an edge
+        hull = np.exp(2j * np.pi * np.arange(k) / k)
+        _assert_member(_normal_matrix(rng, hull - hull[0]))
+        _assert_member(_normal_matrix(rng, hull - (0.3 * hull[0] + 0.7 * hull[1])))
+
+
+def test_zero_in_numrange_jordan_discs():
+    # W(c I + r J_k) is the disc of centre c and radius r cos(pi / (k + 1))
+    rng = np.random.default_rng(20)
+    for k in range(3, 7):
+        jordan = np.diag(np.ones(k - 1), 1)
+        for _ in range(6):
+            r = rng.uniform(0.5, 2.0)
+            direction = np.exp(2j * np.pi * rng.uniform())
+            radius = r * np.cos(np.pi / (k + 1))
+            u = _haar_unitary(rng, k)
+            for centre in (radius, 0.5 * radius):
+                m = u @ (centre * direction * np.eye(k) + r * jordan) @ u.conj().T
+                _assert_member(m)
+
+
+def _support(m, t):
+    return np.linalg.eigvalsh((np.exp(1j * t) * m + np.exp(-1j * t) * m.conj().T) / 2.0)[-1]
+
+
+def test_zero_in_numrange_shifted_to_boundary():
+    rng = np.random.default_rng(21)
+    step = 2.0 * np.pi / 4096
+    for _ in range(60):
+        k = int(rng.integers(2, 6))
+        m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        t0 = step * float(np.argmin(_support_scan(m)))
+        t = minimize_scalar(lambda t: _support(m, t), bounds=(t0 - step, t0 + step),
+                            method="bounded", options={"xatol": 1e-12}).x
+        # after the shift the support line at angle t passes through 0
+        _assert_member(m - _support(m, t) * np.exp(-1j * t) * np.eye(k))
+
+
+def test_zero_in_numrange_scalar_within_tolerance_band():
+    tol = 1e-9
+    for c in (0.4 * tol, -0.3 * tol, 0.25j * tol, 0.4 * tol * np.exp(2.2j)):
+        res = _assert_member(np.array([[c]]), tol)
+        assert res.residual == pytest.approx(abs(c), rel=1e-12)
+
+
+def test_zero_in_numrange_flat_edge_just_missing_zero():
+    rng = np.random.default_rng(22)
+    tol = 1e-9
+    for _ in range(10):
+        # a triangle whose lower edge runs at height d = 0.4 tol_abs above 0
+        # (||M|| = 2 for these eigenvalues)
+        d = 0.4 * tol * (1.0 + 2.0)
+        eigs = np.array([-1.0 + 1j * d, 1.0 + 1j * d, 2.0j])
+        m = _normal_matrix(rng, np.exp(2j * np.pi * rng.uniform()) * eigs)
+        res = _assert_member(m, tol)
+        assert res.margin < 0.0
+        assert res.residual >= d * (1.0 - 1e-6)
+
+
+def test_carden_step_hits_targets_on_segments():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        k = int(rng.integers(2, 6))
+        m = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        z1, z2 = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+        z1, z2 = z1 / np.linalg.norm(z1), z2 / np.linalg.norm(z2)
+        a1, a2 = z1.conj() @ m @ z1, z2.conj() @ m @ z2
+        mu = a1 + rng.uniform() * (a2 - a1)
+        z = _carden_step(m, z1, z2, mu)
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+        assert abs(z.conj() @ m @ z - mu) <= 1e-12 * (1.0 + operator_norm(m))
 
 
 def test_state_from_face_vector_rank_one():
