@@ -34,8 +34,9 @@ from .daugavet import (CubeIdentityReport, DaugavetReport,
 from .verify import (PropertyResult, SuiteReport, bj_grid_oracle,
                      bj_orthogonal_pair, bj_real_grid_oracle,
                      incomparability_triple, inner_orthogonal_pair,
-                     property_names, property_suite, random_degenerate_element,
-                     random_element, random_state, strong_bj_sample_oracle)
+                     parallel_grid_oracle, property_names, property_suite,
+                     random_degenerate_element, random_element, random_state,
+                     strong_bj_sample_oracle)
 
 __version__ = "0.1.0"
 
@@ -58,5 +59,6 @@ __all__ = [
     "random_element", "random_degenerate_element", "random_state",
     "inner_orthogonal_pair", "bj_orthogonal_pair", "incomparability_triple",
     "bj_grid_oracle", "bj_real_grid_oracle", "strong_bj_sample_oracle",
+    "parallel_grid_oracle",
     "property_suite", "property_names", "PropertyResult", "SuiteReport",
 ]

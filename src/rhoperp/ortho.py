@@ -12,7 +12,7 @@ bj             0 in W(V* <x,y> V)                       state annihilating <x, y
 bj-real        rho_minus <= 0 <= rho_plus               state with Re phi(<x,y>) = 0
 bj-strong      lambda_min(V* <x,y><y,x> V) ~ 0          state annihilating <x,y><y,x>
 rho            rho_plus + rho_minus ~ 0                 --
-parallel       max_t ||x + e^{it} y|| = ||x|| + ||y||   the maximizing unit xi
+parallel       w(V* <x,y> V) = ||x|| ||y||              the maximizing unit xi
 =============  =======================================  =================
 
 The zero element is orthogonal to everything: every predicate returns
@@ -30,14 +30,12 @@ from .errors import PreconditionFailed
 from .hmodule import _as_pair, inner_product, module_norm
 from .matcore import as_complex_matrix, hermitian_spectrum, operator_norm
 from .normderiv import _rho_extremes
-from .stateface import (StateWitness, ZERO_NORM_TOL, _golden_min,
+from .stateface import (StateWitness, ZERO_NORM_TOL, _numerical_radius,
                         _zero_quadratic_vector, face_compression,
                         maximally_mixed, state_from_face_vector, top_face,
                         zero_in_numrange)
 
 DEFAULT_TOL = 1e-9
-
-_PARALLEL_GRID = 720
 
 
 class Relation(str, Enum):
@@ -173,34 +171,37 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Norm parallelism: ||x + xi y|| = ||x|| + ||y|| for some unit xi.
 
-    Maximizes over the unit circle (coarse grid plus golden-section
-    refinement; the objective is Lipschitz in the angle with constant
-    ||y||).  The witness is the maximizing xi.
+    Decided on the top face: x and y are parallel iff the numerical
+    radius of C = V* <u, w> V, for u = x/||x|| and w = y/||y||, is 1,
+    i.e. iff some unit v in the face has |v* C v| = 1 (Zamani and
+    Moslehian, "Exact and approximate operator parallelism", Canad.
+    Math. Bull. 58, 2015).  Deciding on the normalized pair keeps the
+    verdict independent of the scale of x and y.  The margin is
+    w(C) - 1, in [-1, 0] up to rounding.
+
+    The witness is xi = conj(v* C v) / |v* C v| for the v attaining the
+    radius (1 when v* C v = 0); ``data`` holds ``max_norm`` =
+    ||x + xi y||, attained at ``angle`` = arg xi, together with
+    ``numerical_radius`` and ``face_dim``.  An exactly zero x or y is
+    parallel to everything, with xi = 1.
     """
     x, y, nx, ny = _norms(x, y)
-    scale = 1.0 + nx + ny
-    thetas = np.linspace(0.0, 2.0 * np.pi, _PARALLEL_GRID, endpoint=False)
-    stack = x[None, :, :] + np.exp(1j * thetas)[:, None, None] * y[None, :, :]
-    vals = np.linalg.svd(stack, compute_uv=False)[:, 0]
-
-    def neg_norm(t):
-        return -module_norm(x + np.exp(1j * t) * y)
-
-    step = 2.0 * np.pi / _PARALLEL_GRID
-    local = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
-    local = local[np.argsort(-vals[local], kind="stable")][:16]
-    best_t, best_v = float(thetas[np.argmax(vals)]), float(np.max(vals))
-    for i in local:
-        t, v = _golden_min(neg_norm, thetas[i] - step, thetas[i] + step)
-        if -v > best_v:
-            best_t, best_v = t, -v
-    best_t %= 2.0 * np.pi
-    margin = (best_v - nx - ny) / scale
+    if nx == 0.0 or ny == 0.0:
+        return OrthoReport(Relation.PARALLEL, True, 0.0, tol, witness=1.0 + 0.0j,
+                           data={"max_norm": nx + ny, "angle": 0.0})
+    u, w = x / nx, y / ny
+    face = top_face(u)
+    comp = face_compression(face, inner_product(u, w))
+    radius, v = _numerical_radius(comp)
+    val = complex(v.conj() @ comp @ v)
+    xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j
+    margin = radius - 1.0
     holds = margin >= -tol
-    xi = complex(np.exp(1j * best_t))
     return OrthoReport(Relation.PARALLEL, holds, margin, tol,
                        witness=xi if holds else None,
-                       data={"max_norm": best_v, "angle": best_t})
+                       data={"max_norm": module_norm(x + xi * y),
+                             "angle": float(np.angle(xi) % (2.0 * np.pi)),
+                             "numerical_radius": radius, "face_dim": face.dim})
 
 
 def m_lower_bound(y) -> float:

@@ -211,15 +211,16 @@ def _golden_min(f, lo: float, hi: float, width: float = 1e-12) -> tuple[float, f
     return t, f(t)
 
 
-def _minimize_support(m: np.ndarray) -> tuple[float, float]:
-    """Global minimum of the support function over the circle.
+def _scan_min(values, value) -> tuple[float, float]:
+    """Global minimum over the circle of a Lipschitz function of the angle,
+    given batched (``values``) and pointwise (``value``).
 
-    Coarse scan plus golden-section refinement around every local grid
-    minimum; the curve is Lipschitz with constant ||M||, which bounds the
-    scan error by ||M|| * pi / grid.
+    Coarse scan plus golden-section refinement around the lowest local
+    grid minima; a Lipschitz constant L bounds the scan error by
+    L * pi / grid.
     """
     thetas = np.linspace(0.0, 2.0 * np.pi, _SUPPORT_GRID, endpoint=False)
-    vals = _support_values(m, thetas)
+    vals = values(thetas)
     step = 2.0 * np.pi / _SUPPORT_GRID
     local = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
     # flat curves make every grid point a local minimum; refining the few
@@ -228,10 +229,29 @@ def _minimize_support(m: np.ndarray) -> tuple[float, float]:
     best_t, best_v = float(thetas[np.argmin(vals)]), float(np.min(vals))
     for i in local:
         t0 = thetas[i]
-        t, v = _golden_min(lambda t: _support_value(m, t), t0 - step, t0 + step)
+        t, v = _golden_min(value, t0 - step, t0 + step)
         if v < best_v:
             best_t, best_v = t, v
     return best_t % (2.0 * np.pi), best_v
+
+
+def _minimize_support(m: np.ndarray) -> tuple[float, float]:
+    """Global minimum of the support function over the circle (Lipschitz
+    with constant ||M||)."""
+    return _scan_min(lambda ts: _support_values(m, ts), lambda t: _support_value(m, t))
+
+
+def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """w(M) = max_t lambda_max(Re(e^{it} M)) and a unit v attaining it.
+
+    v is the top eigenvector of Re(e^{it} M) at the maximizing angle, so
+    |v* M v| = w(M) up to the scan's refinement; a 1-by-1 [c] gives |c|.
+    """
+    if m.shape[0] == 1:
+        return abs(complex(m[0, 0])), np.ones(1, dtype=np.complex128)
+    t, v = _scan_min(lambda ts: -_support_values(m, ts), lambda t: -_support_value(m, t))
+    k = np.exp(1j * t) * m
+    return -v, np.linalg.eigh((k + k.conj().T) / 2.0)[1][:, -1]
 
 
 def _quad_form(m: np.ndarray, z: np.ndarray) -> complex:

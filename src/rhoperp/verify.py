@@ -158,6 +158,32 @@ def bj_real_grid_oracle(x, y, radius: float = 4.0, grid: int = 64, tol: float = 
     return _bj_real_grid_min(x, y, radius, grid) >= module_norm(x) - tol
 
 
+_PARALLEL_GRID = 720
+
+
+def parallel_grid_oracle(x, y) -> tuple[float, float]:
+    """max_t ||x + e^{it} y|| and a maximizing angle in [0, 2 pi).
+
+    Scans the circle at 720 angles and refines the 16 highest local grid
+    maxima by bounded scalar search; the objective is Lipschitz in the
+    angle with constant ||y||.  A max_norm short of ||x|| + ||y|| by more
+    than the grid error certifies non-parallelism.
+    """
+    thetas = np.linspace(0.0, 2.0 * np.pi, _PARALLEL_GRID, endpoint=False)
+    vals = _batched_norms(x, np.exp(1j * thetas), y)
+    step = 2.0 * np.pi / _PARALLEL_GRID
+    local = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    local = local[np.argsort(-vals[local], kind="stable")][:16]
+    best_t, best_v = float(thetas[np.argmax(vals)]), float(np.max(vals))
+    for i in local:
+        res = minimize_scalar(lambda t: -operator_norm(x + np.exp(1j * t) * y),
+                              bounds=(thetas[i] - step, thetas[i] + step),
+                              method="bounded", options={"xatol": 1e-12})
+        if -res.fun > best_v:
+            best_t, best_v = float(res.x), float(-res.fun)
+    return best_v, best_t % (2.0 * np.pi)
+
+
 def strong_bj_sample_oracle(x, y, trials: int = 200, seed: int = 0, tol: float = 1e-6) -> bool:
     """Search min ||x + y a|| over sampled algebra elements.
 
@@ -487,10 +513,14 @@ def _check_daugavet_parallel(rng, trials):
 
     def one(rng):
         x = random_element(rng, *_dims(rng))
-        rep = is_norm_parallel(x, module_action(x, inner_product(x, x)))
+        y = module_action(x, inner_product(x, x))
+        rep = is_norm_parallel(x, y)
         if not rep.holds:
             return -1.0
-        return 1e-6 - abs(rep.witness - 1.0)
+        target = module_norm(x) + module_norm(y)
+        max_norm, _ = parallel_grid_oracle(x, y)
+        return [1e-6 - abs(rep.witness - 1.0),
+                1e-9 * (1.0 + target) - (target - max_norm)]
     return _margins("daugavet-parallel", rng, trials, one)
 
 

@@ -11,6 +11,7 @@ from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_element)
 
 T, S, R = incomparability_triple()
+J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
 
 
 def test_ip_reference_cases():
@@ -69,6 +70,66 @@ def test_parallel_with_phase():
     rep = is_norm_parallel(x, -1j * x)
     assert rep.holds
     assert abs(rep.witness - 1j) <= 1e-6
+
+
+def test_parallel_decided_on_degenerate_faces():
+    rep = is_norm_parallel(np.eye(2), np.diag([1.0, 1j]))
+    assert rep.holds and rep.data["face_dim"] == 2
+    rep = is_norm_parallel(np.eye(3), np.diag([1.0, np.exp(2j), -1.0]))
+    assert rep.holds and rep.data["face_dim"] == 3
+    # only the second face vector aligns I with diag(0.5, i)
+    rep = is_norm_parallel(np.eye(2), np.diag([0.5, 1j]))
+    assert rep.holds and abs(rep.witness + 1j) <= 1e-12
+    assert rep.data["max_norm"] == pytest.approx(2.0, rel=1e-12)
+    # W(J_2) is the disc of radius 1/2: no face vector aligns I and J
+    rep = is_norm_parallel(np.eye(2), J2)
+    assert not rep.holds and rep.witness is None
+    assert rep.margin == pytest.approx(-0.5, abs=1e-12)
+    assert rep.data["numerical_radius"] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_parallel_max_norm_attained_at_reported_angle():
+    rng = np.random.default_rng(15)
+    pairs = [(np.eye(2), np.diag([1.0, 1j])), (np.eye(2), J2),
+             (np.eye(3), np.diag([1.0, np.exp(2j), -1.0])), (T, S), (T, R)]
+    for i in range(30):
+        m, n = rng.integers(1, 7, size=2)
+        x = random_element(rng, m, n)
+        y = (random_element(rng, m, n), np.exp(1j * rng.uniform(0, 7)) * x,
+             module_action(x, inner_product(x, x)))[i % 3]
+        pairs.append((x, y))
+    for x, y in pairs:
+        rep = is_norm_parallel(x, y)
+        got = module_norm(x + np.exp(1j * rep.data["angle"]) * y)
+        assert got == pytest.approx(rep.data["max_norm"], rel=1e-12)
+
+
+def test_parallel_zero_element_has_unit_witness():
+    y = random_element(np.random.default_rng(16), 3, 2)
+    for a, b in ((np.zeros((3, 2)), y), (y, np.zeros((3, 2)))):
+        rep = is_norm_parallel(a, b)
+        assert rep.holds and rep.witness == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_parallel_verdict_invariant_under_extreme_scales():
+    rng = np.random.default_rng(3)
+    pairs = [(random_element(rng, 3, 3), random_element(rng, 3, 3))]
+    for _ in range(6):
+        m, n = rng.integers(1, 6, size=2)
+        x = random_element(rng, m, n)
+        c = complex(rng.standard_normal(), rng.standard_normal())
+        pairs += [(x, random_element(rng, m, n)), (x, c * x)]
+    scales = (1e-150, 1e-5, 1.0, 1e80, 1e160)
+    for x, y in pairs:
+        base = is_norm_parallel(x, y)
+        for c in scales:
+            for d in scales:
+                rep = is_norm_parallel(c * x, d * y)
+                assert rep.holds == base.holds
+                assert rep.margin == pytest.approx(base.margin, abs=1e-12)
+                if base.holds:
+                    assert abs(rep.witness - base.witness) <= 1e-12
 
 
 def test_zero_element_is_orthogonal_to_everything():

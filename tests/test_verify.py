@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rhoperp import (bj_grid_oracle, bj_real_grid_oracle, inner_product,
-                     is_bj, is_bj_real, operator_norm, property_names,
+                     is_bj, is_bj_real, is_norm_parallel, module_norm,
+                     operator_norm, parallel_grid_oracle, property_names,
                      property_suite, strong_bj_sample_oracle)
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
@@ -84,6 +85,49 @@ def test_strong_sample_oracle_reference_cases():
 def test_strong_sample_oracle_validates_trials():
     with pytest.raises(ValueError):
         strong_bj_sample_oracle(T, S, trials=10)
+
+
+def _parallel_sweep_pairs(rng):
+    """Generic, ip- and BJ-orthogonal pairs, (x, e^{ia} x), and x with a
+    2- to 4-dim top face against parallel and non-parallel partners."""
+    pairs = []
+    for i in range(12):
+        m, n = (int(v) for v in rng.integers(2, 7, size=2))
+        pairs.append((random_element(rng, m, n), random_element(rng, m, n)))
+        pairs.append(inner_orthogonal_pair(rng, m, n))
+        pairs.append(bj_orthogonal_pair(rng, m, n))
+        x = random_element(rng, m, n)
+        pairs.append((x, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * x))
+        mult = 2 + i % 3
+        x = random_degenerate_element(rng, mult + 1 + i % 2, mult + 1, mult)
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=len(s)))
+        weights = np.r_[1.0, rng.uniform(0.2, 0.9, size=len(s) - 1)]
+        # same singular vectors, new phases and weights: parallel through
+        # the first face vector only
+        pairs.append((x, (u * (s * phases * weights)) @ vh))
+        # partner's top singular vector lies off the face: not parallel
+        pairs.append((x, (u * np.sort(rng.uniform(0.2, 1.0, size=len(s)))) @ vh))
+        # shift inside the face: w(J_k) = cos(pi / (k + 1)) < 1
+        pairs.append((x, u[:, :mult] @ np.diag(np.ones(mult - 1), 1) @ vh[:mult]))
+    return pairs
+
+
+def test_parallel_grid_oracle_agreement_sweep():
+    pairs = _parallel_sweep_pairs(np.random.default_rng(57))
+    assert len(pairs) >= 60
+    verdicts = set()
+    for x, y in pairs:
+        target = module_norm(x) + module_norm(y)
+        max_norm, angle = parallel_grid_oracle(x, y)
+        assert operator_norm(x + np.exp(1j * angle) * y) == pytest.approx(max_norm, rel=1e-12)
+        oracle = max_norm >= target - 1e-9 * (1.0 + target)
+        rep = is_norm_parallel(x, y)
+        assert rep.holds == oracle
+        if rep.holds:
+            assert operator_norm(x + rep.witness * y) == pytest.approx(target, rel=1e-12)
+        verdicts.add(oracle)
+    assert verdicts == {True, False}
 
 
 def test_property_suite_passes():
