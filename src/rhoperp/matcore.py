@@ -2,7 +2,9 @@
 
 Everything else in the package reduces to these three facts about a
 matrix: its conjugate transpose, the spectral decomposition of its
-Hermitian part, and its largest singular value.
+Hermitian part, and its largest singular value.  Inputs are validated
+once, at public entry; the ``_``-kernels trust their arrays (complex128,
+2-d, and Hermitian by construction for ``_spectrum``).
 """
 
 from __future__ import annotations
@@ -17,14 +19,19 @@ from .errors import NonHermitianInput
 HERMITIAN_DRIFT_TOL = 1e-10
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """``m`` once every entry is finite (products of valid inputs can overflow)."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    return m
+
+
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-d complex128 array with finite entries."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
+    return _finite(m)
 
 
 def adjoint(a) -> np.ndarray:
@@ -34,7 +41,10 @@ def adjoint(a) -> np.ndarray:
 
 def operator_norm(a) -> float:
     """Largest singular value of ``a``; equals sqrt(lambda_max(A*A))."""
-    m = as_complex_matrix(a)
+    return _norm(as_complex_matrix(a))
+
+
+def _norm(m: np.ndarray) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
@@ -65,6 +75,12 @@ def hermitian_spectrum(h, drift_tol: float = HERMITIAN_DRIFT_TOL) -> HermitianSp
         raise NonHermitianInput(
             f"matrix deviates from Hermitian by {drift:.3e} (relative tol {drift_tol:.1e})"
         )
+    return _spectrum(m)
+
+
+def _spectrum(m: np.ndarray) -> HermitianSpectrum:
+    """:func:`hermitian_spectrum` without the drift check, for matrices
+    Hermitian by construction (x* x, V* H V) up to rounding."""
     sym = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     # stable so that degenerate blocks keep the factorization's basis order

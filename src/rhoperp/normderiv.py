@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoConvergence
-from .hmodule import _as_pair, inner_product, module_norm
-from .stateface import (StateWitness, ZERO_NORM_TOL, face_compression,
-                        state_from_face_vector, top_face)
-from .matcore import hermitian_spectrum
+from .hmodule import _as_pair, module_norm
+from .matcore import _norm, _spectrum
+from .stateface import (StateWitness, ZERO_NORM_TOL, _compress, _face_state,
+                        _top_face)
 
 
 @dataclass(frozen=True)
@@ -33,36 +33,40 @@ class DerivativePair:
     min_witness: StateWitness | None
 
 
-def _rho_extremes(x, y, gap_tol=1e-10):
-    x, y = _as_pair(x, y)
-    if module_norm(x) <= ZERO_NORM_TOL:
+def _rho_extremes(x, y, nx):
+    """Extreme eigenvalues of V* H V and their states, for trusted x, y
+    with ||x|| = nx."""
+    if nx <= ZERO_NORM_TOL:
         # The difference quotient is t ||y||^2 / 2 -> 0.
         return 0.0, None, 0.0, None
-    face = top_face(x, gap_tol)
-    h = (inner_product(x, y) + inner_product(y, x)) / 2.0
-    spec = hermitian_spectrum(face_compression(face, h))
+    face = _top_face(x)
+    h = (x.conj().T @ y + y.conj().T @ x) / 2.0
+    spec = _spectrum(_compress(face, h))
     hi = float(spec.eigenvalues[0])
     lo = float(spec.eigenvalues[-1])
-    w_hi = state_from_face_vector(face, spec.eigenvectors[:, 0])
-    w_lo = state_from_face_vector(face, spec.eigenvectors[:, -1])
+    w_hi = _face_state(face, spec.eigenvectors[:, 0])
+    w_lo = _face_state(face, spec.eigenvectors[:, -1])
     return hi, w_hi, lo, w_lo
 
 
 def rho_plus(x, y) -> tuple[float, StateWitness | None]:
     """Right norm derivative and a state attaining it (None for x = 0)."""
-    hi, w_hi, _, _ = _rho_extremes(x, y)
+    x, y = _as_pair(x, y)
+    hi, w_hi, _, _ = _rho_extremes(x, y, _norm(x))
     return hi, w_hi
 
 
 def rho_minus(x, y) -> tuple[float, StateWitness | None]:
     """Left norm derivative and a state attaining it (None for x = 0)."""
-    _, _, lo, w_lo = _rho_extremes(x, y)
+    x, y = _as_pair(x, y)
+    _, _, lo, w_lo = _rho_extremes(x, y, _norm(x))
     return lo, w_lo
 
 
 def rho_pair(x, y) -> DerivativePair:
     """Both derivatives at once, sharing one face computation."""
-    hi, w_hi, lo, w_lo = _rho_extremes(x, y)
+    x, y = _as_pair(x, y)
+    hi, w_hi, lo, w_lo = _rho_extremes(x, y, _norm(x))
     if not lo <= hi + 1e-10:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")
     return DerivativePair(rho_plus=hi, rho_minus=lo, rho_mid=(hi + lo) / 2.0,

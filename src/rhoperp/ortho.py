@@ -27,13 +27,13 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _as_pair, inner_product, module_norm
-from .matcore import as_complex_matrix, hermitian_spectrum, operator_norm
+from .hmodule import _as_pair
+from .matcore import _finite, _norm, _spectrum, as_complex_matrix
 from .normderiv import _rho_extremes
-from .stateface import (StateWitness, ZERO_NORM_TOL, _numerical_radius,
-                        _zero_quadratic_vector, face_compression,
-                        maximally_mixed, state_from_face_vector, top_face,
-                        zero_in_numrange)
+from .stateface import (ZERO_NORM_TOL, _compress, _face_state,
+                        _numerical_radius, _state, _top_face,
+                        _zero_in_numrange, _zero_quadratic_vector,
+                        maximally_mixed)
 
 DEFAULT_TOL = 1e-9
 
@@ -65,23 +65,23 @@ class OrthoReport:
 
 
 def _norms(x, y):
+    """The validated pair and its norms: the one entry check of each predicate."""
     x, y = _as_pair(x, y)
-    return x, y, module_norm(x), module_norm(y)
+    return x, y, _norm(x), _norm(y)
 
 
-def _face_numrange(x, y, tol: float, scale: float):
+def _face_numrange(x, y, tol_abs: float):
     """Top face of x and 0 in W(V* <x, y> V) for it, at absolute slack
-    tol * scale: the Birkhoff-James decision for a nonzero x."""
-    face = top_face(x)
-    comp = face_compression(face, inner_product(x, y))
-    return face, zero_in_numrange(comp, tol * scale / (1.0 + operator_norm(comp)))
+    tol_abs: the Birkhoff-James decision for a nonzero x."""
+    face = _top_face(x)
+    return face, _zero_in_numrange(_compress(face, x.conj().T @ y), tol_abs)
 
 
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Inner-product orthogonality <x, y> = 0."""
     x, y, nx, ny = _norms(x, y)
     scale = 1.0 + nx * ny
-    val = operator_norm(inner_product(x, y))
+    val = _norm(_finite(x.conj().T @ y))
     margin = -val / scale
     return OrthoReport(Relation.IP, margin >= -tol, margin, tol,
                        data={"inner_product_norm": val})
@@ -100,11 +100,11 @@ def is_bj(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     if nx <= ZERO_NORM_TOL:
         return OrthoReport(Relation.BJ, True, 0.0, tol / 2.0,
                            witness=maximally_mixed(x.shape[1]))
-    face, res = _face_numrange(x, y, tol, scale)
+    face, res = _face_numrange(x, y, tol * scale)
     margin = res.margin / scale
     data = {"support_min": res.margin}
     if res.contains_zero:
-        witness = state_from_face_vector(face, res.vector)
+        witness = _face_state(face, res.vector)
         data["certificate_residual"] = res.residual
         return OrthoReport(Relation.BJ, True, margin, tol / 2.0, witness, data)
     data["separating_angle"] = res.angle
@@ -123,14 +123,14 @@ def is_bj_real(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
         return OrthoReport(Relation.BJ_REAL, True, 0.0, tol,
                            witness=maximally_mixed(x.shape[1]),
                            data={"rho_plus": 0.0, "rho_minus": 0.0})
-    hi, w_hi, lo, w_lo = _rho_extremes(x, y)
+    hi, w_hi, lo, w_lo = _rho_extremes(x, y, nx)
     margin = min(hi, -lo) / scale
     holds = margin >= -tol
     witness = None
     if holds:
         span = hi - lo
         lam = float(np.clip(hi / span, 0.0, 1.0)) if span > 0.0 else 0.0
-        witness = StateWitness(lam * w_lo.density + (1.0 - lam) * w_hi.density)
+        witness = _state(lam * w_lo.density + (1.0 - lam) * w_hi.density)
     return OrthoReport(Relation.BJ_REAL, holds, margin, tol, witness,
                        data={"rho_plus": hi, "rho_minus": lo})
 
@@ -147,13 +147,12 @@ def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
         return OrthoReport(Relation.BJ_STRONG, True, 0.0, tol,
                            witness=maximally_mixed(x.shape[1]),
                            data={"annihilation_value": 0.0})
-    face = top_face(x)
-    pos = inner_product(x, y) @ inner_product(y, x)
-    spec = hermitian_spectrum(face_compression(face, pos))
+    face = _top_face(x)
+    spec = _spectrum(_compress(face, (x.conj().T @ y) @ (y.conj().T @ x)))
     lam_min = float(spec.eigenvalues[-1])
     margin = -lam_min / scale
     holds = margin >= -tol
-    witness = state_from_face_vector(face, spec.eigenvectors[:, -1]) if holds else None
+    witness = _face_state(face, spec.eigenvectors[:, -1]) if holds else None
     return OrthoReport(Relation.BJ_STRONG, holds, margin, tol, witness,
                        data={"annihilation_value": lam_min})
 
@@ -162,7 +161,7 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """rho-orthogonality: rho_plus(x, y) + rho_minus(x, y) = 0."""
     x, y, nx, ny = _norms(x, y)
     scale = 1.0 + nx * ny
-    hi, _, lo, _ = _rho_extremes(x, y)
+    hi, _, lo, _ = _rho_extremes(x, y, nx)
     margin = -abs(hi + lo) / scale
     return OrthoReport(Relation.RHO, margin >= -tol, margin, tol,
                        data={"rho_plus": hi, "rho_minus": lo})
@@ -190,8 +189,8 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
         return OrthoReport(Relation.PARALLEL, True, 0.0, tol, witness=1.0 + 0.0j,
                            data={"max_norm": nx + ny, "angle": 0.0})
     u, w = x / nx, y / ny
-    face = top_face(u)
-    comp = face_compression(face, inner_product(u, w))
+    face = _top_face(u)
+    comp = _compress(face, u.conj().T @ w)
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)
     xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j
@@ -199,7 +198,7 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     holds = margin >= -tol
     return OrthoReport(Relation.PARALLEL, holds, margin, tol,
                        witness=xi if holds else None,
-                       data={"max_norm": module_norm(x + xi * y),
+                       data={"max_norm": _norm(_finite(x + xi * y)),
                              "angle": float(np.angle(xi) % (2.0 * np.pi)),
                              "numerical_radius": radius, "face_dim": face.dim})
 
@@ -207,8 +206,7 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 def m_lower_bound(y) -> float:
     """inf phi(<y, y>) over all states: lambda_min(<y, y>)."""
     y = as_complex_matrix(y)
-    spec = hermitian_spectrum(inner_product(y, y))
-    return float(spec.eigenvalues[-1])
+    return float(_spectrum(_finite(y.conj().T @ y)).eigenvalues[-1])
 
 
 def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> np.ndarray:
@@ -225,13 +223,13 @@ def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> 
         v[0] = 1.0
         return v
     if real:
-        face = top_face(x)
-        h = (inner_product(x, y) + inner_product(y, x)) / 2.0
-        z, val = _zero_quadratic_vector(face_compression(face, h))
+        face = _top_face(x)
+        h = (x.conj().T @ y + y.conj().T @ x) / 2.0
+        z, val = _zero_quadratic_vector(_compress(face, h))
         if abs(val) > tol * scale:
             raise PreconditionFailed("real-scalar Birkhoff-James orthogonality does not hold")
     else:
-        face, res = _face_numrange(x, y, tol, scale)
+        face, res = _face_numrange(x, y, tol * scale)
         if not res.contains_zero:
             raise PreconditionFailed("Birkhoff-James orthogonality does not hold")
         z = res.vector

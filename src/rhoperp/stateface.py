@@ -19,6 +19,10 @@ the range.
 The membership vector comes from one construction on an inner polygon of
 W(M) (see :func:`zero_in_numrange`): R. Carden, "A simple algorithm for
 the inverse field of values problem", Inverse Problems 25 (2009) 115019.
+A generic x gives a 1-by-1 compression [c], decided from W([c]) = {c}.
+
+Inputs are validated once, at public entry; the ``_``-kernels trust
+their arrays (complex128, finite, shapes matching, x nonzero).
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
-from .hmodule import inner_product, module_norm
-from .matcore import as_complex_matrix, hermitian_spectrum, operator_norm
+from .hmodule import inner_product
+from .matcore import _finite, _norm, _spectrum, as_complex_matrix, operator_norm
 
 # Module elements below this norm are treated as zero (callers special-case them).
 ZERO_NORM_TOL = 1e-12
@@ -81,15 +85,34 @@ class StateWitness:
         eigs = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
         if eigs[0] < -1e-10:
             raise ValueError(f"density has negative eigenvalue {eigs[0]:.3e}")
-        tr = np.trace(d).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"density trace {tr!r} is not 1")
+        _check_trace(d)
         object.__setattr__(self, "density", d)
+
+
+def _check_trace(d: np.ndarray) -> None:
+    tr = np.trace(d).real
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"density trace {tr!r} is not 1")
+
+
+def _state(d: np.ndarray) -> StateWitness:
+    """StateWitness for a density Hermitian and positive by construction
+    (mixtures of (Vz)(Vz)*); only the trace is checked."""
+    _check_trace(d)
+    p = object.__new__(StateWitness)
+    object.__setattr__(p, "density", d)
+    return p
+
+
+def _face_state(face: TopFace, z: np.ndarray) -> StateWitness:
+    """Rank-one state (Vz)(Vz)* for a unit z in face coordinates."""
+    w = face.isometry @ z
+    return _state(np.outer(w, w.conj()))
 
 
 def maximally_mixed(n: int) -> StateWitness:
     """The tracial state I/n."""
-    return StateWitness(np.eye(n, dtype=np.complex128) / n)
+    return _state(np.eye(n, dtype=np.complex128) / n)
 
 
 def top_face(x, gap_tol: float = 1e-10) -> TopFace:
@@ -99,9 +122,13 @@ def top_face(x, gap_tol: float = 1e-10) -> TopFace:
     face.  Raises :class:`ZeroElement` when ``||x|| <= 1e-12``.
     """
     x = as_complex_matrix(x)
-    if module_norm(x) <= ZERO_NORM_TOL:
+    if _norm(x) <= ZERO_NORM_TOL:
         raise ZeroElement("top face undefined for the zero element")
-    spec = hermitian_spectrum(inner_product(x, x))
+    return _top_face(x, gap_tol)
+
+
+def _top_face(x: np.ndarray, gap_tol: float = 1e-10) -> TopFace:
+    spec = _spectrum(_finite(x.conj().T @ x))
     vals = spec.eigenvalues
     lam_max = float(vals[0])
     cut = (1.0 - gap_tol) * lam_max
@@ -137,6 +164,12 @@ def face_compression(face: TopFace, a) -> np.ndarray:
     if a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
         raise ShapeMismatch(f"algebra element {a.shape} vs face on dimension {v.shape[0]}")
     return v.conj().T @ a @ v
+
+
+def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
+    """V* a V with the finiteness scans of a and of the result."""
+    v = face.isometry
+    return _finite(v.conj().T @ _finite(a) @ v)
 
 
 def state_from_face_vector(face: TopFace, zeta) -> StateWitness:
@@ -237,7 +270,10 @@ def _scan_min(values, value) -> tuple[float, float]:
 
 def _minimize_support(m: np.ndarray) -> tuple[float, float]:
     """Global minimum of the support function over the circle (Lipschitz
-    with constant ||M||)."""
+    with constant ||M||); for [c] it is -|c| (+0.0 at c = 0), at pi - arg c."""
+    if m.shape[0] == 1:
+        c = complex(m[0, 0])
+        return float((np.pi - np.angle(c)) % (2.0 * np.pi)), 0.0 - abs(c)
     return _scan_min(lambda ts: _support_values(m, ts), lambda t: _support_value(m, t))
 
 
@@ -353,7 +389,9 @@ def _nearest_on_polygon(pts: np.ndarray) -> tuple[int, complex]:
 def _zero_certificate(m: np.ndarray, theta_star: float,
                       tol_abs: float) -> tuple[np.ndarray, float]:
     """Unit z and |z* M z| from the inner polygon described in
-    :func:`zero_in_numrange`."""
+    :func:`zero_in_numrange`; for a 1-by-1 [c], z = [1] with residual |c|."""
+    if m.shape[0] == 1:
+        return np.ones(1, dtype=np.complex128), abs(complex(m[0, 0]))
     normals = np.sort(-(theta_star + 0.5 * np.pi * np.arange(4)) % (2.0 * np.pi))
     pts, vecs = _support_points(m, normals)
     for _ in range(_CERTIFICATE_ROUNDS):
@@ -385,13 +423,16 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     point q nearest to 0 is taken once ``|q| <= tol (1 + ||M||)``, and
     until then the boundary point with outward normal ``-q/|q|`` is added,
     at most ``_CERTIFICATE_ROUNDS`` times.  ``residual`` is the achieved
-    ``|z* M z|``.
+    ``|z* M z|``.  A 1-by-1 [c] gives -|c|, pi - arg c, or [1] and |c|.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix of shape {m.shape} is not square")
-    nrm = operator_norm(m)
-    tol_abs = tol * (1.0 + nrm)
+    return _zero_in_numrange(m, tol * (1.0 + _norm(m)))
+
+
+def _zero_in_numrange(m: np.ndarray, tol_abs: float) -> NumRangeCertificate:
+    """:func:`zero_in_numrange` at absolute slack ``tol_abs``."""
     theta_star, g_star = _minimize_support(m)
     if g_star < -0.5 * tol_abs:
         return NumRangeCertificate(False, margin=g_star, vector=None,

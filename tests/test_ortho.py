@@ -6,7 +6,7 @@ import pytest
 from rhoperp import (PreconditionFailed, bhatia_semrl_witness, inner_product,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
                      is_norm_parallel, is_rho_orthogonal, m_lower_bound,
-                     module_action, module_norm, state_value)
+                     module_action, module_norm, rho_pair, state_value)
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_element)
 
@@ -269,3 +269,18 @@ def test_relations_invariant_under_scaling():
         d = (0.3 + rng.uniform(0, 2.7)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         for pred in (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal):
             assert pred(x, y).holds == pred(c * x, d * y).holds
+
+
+def test_scaled_bj_pairs_answer_like_unit_scale():
+    # The face compression V* H V is ~0 here while its rounding drift grows
+    # like eps ||x|| ||y||, so a drift check against 1 + ||V* H V|| would
+    # reject about half of these pairs as non-Hermitian.
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        x, y = bj_orthogonal_pair(rng, 4, 4)
+        unit, big = rho_pair(x, y), rho_pair(1e3 * x, 1e3 * y)
+        slack = 1e-12 * (1.0 + module_norm(x) * module_norm(y))
+        assert abs(big.rho_plus / 1e6 - unit.rho_plus) <= slack
+        assert abs(big.rho_minus / 1e6 - unit.rho_minus) <= slack
+        for pred in (is_bj_real, is_rho_orthogonal):
+            assert pred(1e3 * x, 1e3 * y).holds == pred(x, y).holds

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
-                     cauchy_schwarz_gap, face_compression, inner_product,
+                     cauchy_schwarz_gap, face_compression, inner_product, is_bj,
                      maximally_mixed, module_norm, operator_norm,
                      state_from_face_vector, state_value, top_face,
                      zero_in_numrange)
@@ -92,6 +92,8 @@ def test_state_witness_validation():
         StateWitness(np.diag([1.5, -0.5]).astype(complex))  # negative eigenvalue
     with pytest.raises(ShapeMismatch):
         StateWitness(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        StateWitness(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))  # not Hermitian
 
 
 def test_face_compression_full_face_is_unitary_conjugation():
@@ -240,6 +242,40 @@ def test_zero_in_numrange_scalar_within_tolerance_band():
     for c in (0.4 * tol, -0.3 * tol, 0.25j * tol, 0.4 * tol * np.exp(2.2j)):
         res = _assert_member(np.array([[c]]), tol)
         assert res.residual == pytest.approx(abs(c), rel=1e-12)
+
+
+def test_zero_in_numrange_scalar_closed_form():
+    # W([c]) = {c}: margin -|c|, separating angle pi - arg c, or [1] itself
+    rng = np.random.default_rng(23)
+    tol = 1e-9
+    for _ in range(300):
+        c = 10.0 ** rng.uniform(-12, 6) * np.exp(2j * np.pi * rng.uniform())
+        res = zero_in_numrange(np.array([[c]]), tol)
+        assert res.margin == -abs(c)
+        if res.contains_zero:
+            assert abs(c) <= 0.5 * tol * (1.0 + abs(c))
+            np.testing.assert_array_equal(res.vector, [1.0])
+            assert res.residual == abs(c)
+        else:
+            assert abs((np.exp(1j * res.angle) * c).real + abs(c)) <= 1e-15 * abs(c)
+            assert 0.0 <= res.angle < 2.0 * np.pi
+
+
+def test_bj_separating_angle_separates_the_face_compression():
+    rng = np.random.default_rng(24)
+    separated = 0
+    for i in range(120):
+        m, n = rng.integers(2, 7, size=2)
+        x = (random_degenerate_element(rng, m, n, multiplicity=2) if i % 4 == 3 and min(m, n) > 1
+             else random_element(rng, m, n))
+        y = random_element(rng, m, n)
+        rep = is_bj(x, y)
+        if rep.holds:
+            continue
+        separated += 1
+        comp = face_compression(top_face(x), inner_product(x, y))
+        assert _support(comp, rep.data["separating_angle"]) < 0.0
+    assert separated >= 60
 
 
 def test_zero_in_numrange_flat_edge_just_missing_zero():
