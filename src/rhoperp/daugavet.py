@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
-from .hmodule import inner_product, module_action, module_norm
-from .matcore import as_complex_matrix, operator_norm
-from .normderiv import rho_pair
-from .stateface import StateWitness, state_value
+from .hmodule import _unit, inner_product, module_action, module_norm
+from .matcore import _finite, _norm, as_complex_matrix
+from .normderiv import _rho_extremes
+from .stateface import StateWitness, _top_face
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,8 @@ class CubeIdentityReport:
     norm_fourth: float
     max_deviation: float
     witness_square_residual: float
-    max_witness: StateWitness | None
-    min_witness: StateWitness | None
+    max_witness: StateWitness
+    min_witness: StateWitness
     within_tol: bool
     tol: float
 
@@ -41,22 +41,24 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     """Check rho_plus(x, x<x,x>) = ||x||^4 = rho_minus(x, x<x,x>).
 
     Also evaluates phi(<x,x>^2) = ||x||^4 for the returned witnesses,
-    the intermediate equality that forces the identity.
+    the intermediate equality that forces the identity.  Computed on the
+    unit element u = x/||x||, for which x<x,x> has unit direction
+    u<u,u> and <u, u<u,u>> = <u,u>^2, and scaled by ||x||^4 at output.
     """
-    x = as_complex_matrix(x)
-    gram = inner_product(x, x)
-    pair = rho_pair(x, module_action(x, gram))
-    n4 = module_norm(x) ** 4
-    dev = max(abs(pair.rho_plus - n4), abs(pair.rho_minus - n4))
+    nx, u = _unit(as_complex_matrix(x))
+    gram = u.conj().T @ u
     square = gram @ gram
-    wsr = 0.0
-    for w in (pair.max_witness, pair.min_witness):
-        if w is not None:
-            wsr = max(wsr, abs(state_value(w, square).real - n4))
+    hi, w_hi, lo, w_lo = _rho_extremes(_top_face(gram), square)
+    n4 = nx * nx * nx * nx
+    if n4 == np.inf:
+        raise ValueError("||x||^4 beyond the double range")
+    r_plus, r_minus = hi * n4, lo * n4
+    dev = max(abs(r_plus - n4), abs(r_minus - n4))
+    wsr = max(abs(np.trace(w.density @ square).real * n4 - n4) for w in (w_hi, w_lo))
     return CubeIdentityReport(
-        rho_plus=pair.rho_plus, rho_minus=pair.rho_minus, norm_fourth=n4,
+        rho_plus=r_plus, rho_minus=r_minus, norm_fourth=n4,
         max_deviation=dev, witness_square_residual=wsr,
-        max_witness=pair.max_witness, min_witness=pair.min_witness,
+        max_witness=w_hi, min_witness=w_lo,
         within_tol=bool(dev <= tol * (1.0 + n4) and wsr <= tol * (1.0 + n4)),
         tol=tol,
     )
@@ -129,21 +131,21 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     TT*T/||TT*T|| agree on x_o.
     """
     t = as_complex_matrix(t)
-    nt = operator_norm(t)
+    _, svals, vh = np.linalg.svd(t)
+    nt = float(svals[0])
     if nt <= 1e-12:
         raise ZeroOperator("witness undefined for the zero operator")
-    _, svals, vh = np.linalg.svd(t)
     x_o = vh[0].conj()
-    cube = t @ t.conj().T @ t
-    n_cube = operator_norm(cube)
+    cube = _finite(t @ t.conj().T @ t)
+    n_cube = _norm(cube)
+    sum_norm = _norm(_finite(t + cube))
     t_att = abs(float(np.linalg.norm(t @ x_o)) - nt)
     c_att = abs(float(np.linalg.norm(cube @ x_o)) - n_cube)
     align = float(np.linalg.norm(t @ x_o / nt - cube @ x_o / n_cube))
-    eq_res = abs(operator_norm(t + cube) - (nt + nt ** 3))
+    eq_res = abs(sum_norm - (nt + nt ** 3))
     checks = max(t_att, c_att, align, eq_res, abs(n_cube - nt ** 3))
     return OperatorWitnessReport(
-        vector=x_o, norm_t=nt, norm_cube=n_cube,
-        sum_norm=operator_norm(t + cube),
+        vector=x_o, norm_t=nt, norm_cube=n_cube, sum_norm=sum_norm,
         attainment_residual=t_att, cube_attainment_residual=c_att,
         alignment_residual=align, equation_residual=eq_res,
         within_tol=bool(checks <= tol * (1.0 + nt ** 3)), tol=tol,

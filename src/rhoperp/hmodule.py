@@ -12,6 +12,11 @@ Only full matrix algebras are supported as coefficients.  Under the
 x*y convention only ``Re phi(<x, y>)`` enters any formula downstream,
 and that value is symmetric in the two arguments, so results stated for
 the first-variable-linear convention hold verbatim.
+
+Every relation is homogeneous in x and in y, so every pair operation
+starts from :func:`_unit_pair` and reads its result off the unit pair
+u = x/||x||, w = y/||y||.  The zero element (norm below the smallest
+normal double) scales to 0.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeMismatch
-from .matcore import as_complex_matrix, operator_norm
+from .matcore import _TINY, _norm, as_complex_matrix, operator_norm
 
 
 def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -28,6 +33,25 @@ def _as_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     if x.shape != y.shape:
         raise ShapeMismatch(f"module elements of shapes {x.shape} and {y.shape}")
     return x, y
+
+
+def _unit(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(||m||, m/||m||) for a trusted m; (0.0, 0) when m counts as zero."""
+    n = _norm(m)
+    if n == np.inf:
+        raise ValueError("module norm beyond the double range")
+    if n < _TINY:
+        return 0.0, np.zeros_like(m)
+    return n, m / n
+
+
+def _unit_pair(x, y) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(||x||, ||y||, u, w) for the validated pair; products of the unit
+    pair cannot overflow, so nothing downstream rescans them."""
+    x, y = _as_pair(x, y)
+    nx, u = _unit(x)
+    ny, w = _unit(y)
+    return nx, ny, u, w
 
 
 def inner_product(x, y) -> np.ndarray:

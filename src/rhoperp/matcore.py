@@ -18,6 +18,9 @@ from .errors import NonHermitianInput
 # Relative drift allowed before a matrix stops counting as Hermitian.
 HERMITIAN_DRIFT_TOL = 1e-10
 
+# The one zero rule: a norm below the smallest normal double counts as zero.
+_TINY = np.finfo(float).tiny
+
 
 def _finite(m: np.ndarray) -> np.ndarray:
     """``m`` once every entry is finite (products of valid inputs can overflow)."""
@@ -79,8 +82,9 @@ def hermitian_spectrum(h, drift_tol: float = HERMITIAN_DRIFT_TOL) -> HermitianSp
 
 
 def _spectrum(m: np.ndarray) -> HermitianSpectrum:
-    """:func:`hermitian_spectrum` without the drift check, for matrices
-    Hermitian by construction (x* x, V* H V) up to rounding."""
+    """Spectrum of the Hermitian part (m + m*)/2, without the drift check
+    of :func:`hermitian_spectrum`: for matrices Hermitian by construction
+    (x* x, V* G G* V) up to rounding, and for Re V* G V."""
     sym = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     # stable so that degenerate blocks keep the factorization's basis order

@@ -7,6 +7,8 @@ V the top-face isometry of <x, x> and H the Hermitian part of <x, y>,
     rho_minus(x, y) = lambda_min(V* H V),
 
 each attained by the rank-one state built from the extreme eigenvector.
+Both are computed on the unit pair u = x/||x||, w = y/||y|| and scaled
+by ||x|| ||y|| only at output.
 ``rho_fd`` evaluates the defining one-sided difference quotient of
 t -> ||x + t y||^2 instead and serves as the independent oracle.
 """
@@ -17,9 +19,8 @@ from dataclasses import dataclass
 
 from .errors import NoConvergence
 from .hmodule import _as_pair, module_norm
-from .matcore import _norm, _spectrum
-from .stateface import (StateWitness, ZERO_NORM_TOL, _compress, _face_state,
-                        _top_face)
+from .matcore import _spectrum
+from .stateface import StateWitness, _compress, _face_state, _reduce
 
 
 @dataclass(frozen=True)
@@ -29,19 +30,14 @@ class DerivativePair:
     rho_plus: float
     rho_minus: float
     rho_mid: float
-    max_witness: StateWitness | None
-    min_witness: StateWitness | None
+    max_witness: StateWitness
+    min_witness: StateWitness
 
 
-def _rho_extremes(x, y, nx):
-    """Extreme eigenvalues of V* H V and their states, for trusted x, y
-    with ||x|| = nx."""
-    if nx <= ZERO_NORM_TOL:
-        # The difference quotient is t ||y||^2 / 2 -> 0.
-        return 0.0, None, 0.0, None
-    face = _top_face(x)
-    h = (x.conj().T @ y + y.conj().T @ x) / 2.0
-    spec = _spectrum(_compress(face, h))
+def _rho_extremes(face, g):
+    """Extreme eigenvalues of Re V* G V and their states, for the face V
+    and G = <u, w> of a unit pair."""
+    spec = _spectrum(_compress(face, g))
     hi = float(spec.eigenvalues[0])
     lo = float(spec.eigenvalues[-1])
     w_hi = _face_state(face, spec.eigenvectors[:, 0])
@@ -49,27 +45,27 @@ def _rho_extremes(x, y, nx):
     return hi, w_hi, lo, w_lo
 
 
-def rho_plus(x, y) -> tuple[float, StateWitness | None]:
-    """Right norm derivative and a state attaining it (None for x = 0)."""
-    x, y = _as_pair(x, y)
-    hi, w_hi, _, _ = _rho_extremes(x, y, _norm(x))
-    return hi, w_hi
+def rho_plus(x, y) -> tuple[float, StateWitness]:
+    """Right norm derivative and a state attaining it."""
+    pair = rho_pair(x, y)
+    return pair.rho_plus, pair.max_witness
 
 
-def rho_minus(x, y) -> tuple[float, StateWitness | None]:
-    """Left norm derivative and a state attaining it (None for x = 0)."""
-    x, y = _as_pair(x, y)
-    _, _, lo, w_lo = _rho_extremes(x, y, _norm(x))
-    return lo, w_lo
+def rho_minus(x, y) -> tuple[float, StateWitness]:
+    """Left norm derivative and a state attaining it."""
+    pair = rho_pair(x, y)
+    return pair.rho_minus, pair.min_witness
 
 
 def rho_pair(x, y) -> DerivativePair:
-    """Both derivatives at once, sharing one face computation."""
-    x, y = _as_pair(x, y)
-    hi, w_hi, lo, w_lo = _rho_extremes(x, y, _norm(x))
-    if not lo <= hi + 1e-10:
+    """Both derivatives at once, sharing one face computation; for x = 0
+    both are 0, attained by every state."""
+    nx, ny, face, g = _reduce(x, y)
+    hi, w_hi, lo, w_lo = _rho_extremes(face, g)
+    if not lo <= hi:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")
-    return DerivativePair(rho_plus=hi, rho_minus=lo, rho_mid=(hi + lo) / 2.0,
+    return DerivativePair(rho_plus=hi * nx * ny, rho_minus=lo * nx * ny,
+                          rho_mid=(hi + lo) / 2.0 * nx * ny,
                           max_witness=w_hi, min_witness=w_lo)
 
 

@@ -22,7 +22,9 @@ the inverse field of values problem", Inverse Problems 25 (2009) 115019.
 A generic x gives a 1-by-1 compression [c], decided from W([c]) = {c}.
 
 Inputs are validated once, at public entry; the ``_``-kernels trust
-their arrays (complex128, finite, shapes matching, x nonzero).
+their arrays (complex128, finite, shapes matching).  The pair operations
+share :func:`_reduce`: the top face of u = x/||x|| and G = <u, w>,
+w = y/||y||.  A zero x gives u = 0, whose face is every state.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
-from .hmodule import inner_product
-from .matcore import _finite, _norm, _spectrum, as_complex_matrix, operator_norm
-
-# Module elements below this norm are treated as zero (callers special-case them).
-ZERO_NORM_TOL = 1e-12
+from .hmodule import _unit_pair, inner_product
+from .matcore import (_TINY, _finite, _norm, _spectrum, as_complex_matrix,
+                      operator_norm)
 
 # Angles in the coarse scan of the support function.
 _SUPPORT_GRID = 720
@@ -119,16 +119,19 @@ def top_face(x, gap_tol: float = 1e-10) -> TopFace:
     """Top eigenspace of <x, x> as an isometry, for a nonzero element.
 
     Eigenvalues within ``gap_tol`` (relative) of the largest join the
-    face.  Raises :class:`ZeroElement` when ``||x|| <= 1e-12``.
+    face.  Raises :class:`ZeroElement` only for the zero element, an x
+    whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).
     """
     x = as_complex_matrix(x)
-    if _norm(x) <= ZERO_NORM_TOL:
+    if _norm(x) < _TINY:
         raise ZeroElement("top face undefined for the zero element")
-    return _top_face(x, gap_tol)
+    return _top_face(_finite(x.conj().T @ x), gap_tol)
 
 
-def _top_face(x: np.ndarray, gap_tol: float = 1e-10) -> TopFace:
-    spec = _spectrum(_finite(x.conj().T @ x))
+def _top_face(gram: np.ndarray, gap_tol: float = 1e-10) -> TopFace:
+    """Top face of a Gram matrix <x, x>; the zero Gram matrix gives the
+    whole space."""
+    spec = _spectrum(gram)
     vals = spec.eigenvalues
     lam_max = float(vals[0])
     cut = (1.0 - gap_tol) * lam_max
@@ -167,9 +170,16 @@ def face_compression(face: TopFace, a) -> np.ndarray:
 
 
 def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
-    """V* a V with the finiteness scans of a and of the result."""
+    """V* a V for a trusted a."""
     v = face.isometry
-    return _finite(v.conj().T @ _finite(a) @ v)
+    return v.conj().T @ a @ v
+
+
+def _reduce(x, y) -> tuple[float, float, TopFace, np.ndarray]:
+    """(||x||, ||y||, top face of u, G = <u, w>) for the unit pair of
+    :func:`_unit_pair`; every relation is read off the face and G."""
+    nx, ny, u, w = _unit_pair(x, y)
+    return nx, ny, _top_face(u.conj().T @ u), u.conj().T @ w
 
 
 def state_from_face_vector(face: TopFace, zeta) -> StateWitness:
@@ -270,9 +280,11 @@ def _scan_min(values, value) -> tuple[float, float]:
 
 def _minimize_support(m: np.ndarray) -> tuple[float, float]:
     """Global minimum of the support function over the circle (Lipschitz
-    with constant ||M||); for [c] it is -|c| (+0.0 at c = 0), at pi - arg c."""
-    if m.shape[0] == 1:
-        c = complex(m[0, 0])
+    with constant ||M||); for M = c I, whose range is the point c (every
+    1-by-1 M, and the zero compression of a zero x), it is -|c| (+0.0 at
+    c = 0), at pi - arg c."""
+    c = complex(m[0, 0])
+    if m.shape[0] == 1 or not (m - c * np.eye(m.shape[0])).any():
         return float((np.pi - np.angle(c)) % (2.0 * np.pi)), 0.0 - abs(c)
     return _scan_min(lambda ts: _support_values(m, ts), lambda t: _support_value(m, t))
 

@@ -12,7 +12,8 @@ import pytest
 
 from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
-                     is_norm_parallel, is_rho_orthogonal, rho_pair,
+                     is_norm_parallel, is_rho_orthogonal,
+                     operator_daugavet_witness, rho_cube_identity, rho_pair,
                      state_from_face_vector, top_face, zero_in_numrange)
 from rhoperp.verify import bj_orthogonal_pair, random_element
 
@@ -53,6 +54,9 @@ def test_pair_operations_reject_nonfinite_entries(op):
         op(_with_nan(x), y)
     with pytest.raises(ValueError):
         op(x, np.where(np.eye(3, 2) > 0, np.inf, y))
+    # finite entries whose norm is beyond the double range
+    with pytest.raises(ValueError):
+        op(np.full_like(x, 1e308), y)
 
 
 @pytest.mark.parametrize("op", PAIR_OPS, ids=lambda f: f.__name__)
@@ -98,6 +102,20 @@ def test_generic_call_makes_no_redundant_lapack_work(op, lapack_calls):
     assert lapack_calls["svd"] <= 3
     assert lapack_calls["eigh"] <= 2
     assert lapack_calls["eigvalsh"] == 0
+
+
+def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
+    x = random_element(np.random.default_rng(46), 4, 4)
+    for f in LAPACK:
+        lapack_calls[f] = 0
+    rho_cube_identity(x)
+    # one norm, one face, one compression spectrum
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (1, 2, 0)
+    for f in LAPACK:
+        lapack_calls[f] = 0
+    operator_daugavet_witness(x)
+    # one full SVD of T, then the norms of T T* T and of T + T T* T
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (3, 0, 0)
 
 
 def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):

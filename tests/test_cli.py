@@ -49,7 +49,7 @@ def test_rho_command_zero_element(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["rho_plus"] == 0.0 and doc["rho_minus"] == 0.0
-    assert doc["max_witness"] is None
+    assert doc["max_witness"]["type"] == "state"
 
 
 def test_rho_command_with_oracle(tmp_path, capsys):

@@ -30,6 +30,16 @@ def test_cube_identity_zero_element():
     assert rep.rho_plus == 0.0 and rep.rho_minus == 0.0 and rep.within_tol
 
 
+def test_cube_identity_across_scales():
+    x = random_element(np.random.default_rng(41), 3, 3)
+    for c in (1e-60, 1e-5, 1e5, 1e60):
+        rep = rho_cube_identity(c * x)
+        assert rep.within_tol
+        assert rep.rho_plus / rep.norm_fourth == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError):  # ||x||^4 is beyond the double range
+        rho_cube_identity(1e80 * x)
+
+
 def test_cube_identity_sweep():
     rng = np.random.default_rng(40)
     for i in range(100):

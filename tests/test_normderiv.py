@@ -42,7 +42,10 @@ def test_rho_sign_flip_exchanges_sides():
 def test_rho_zero_base_point():
     y = random_element(np.random.default_rng(22), 3, 3)
     val, witness = rho_plus(np.zeros((3, 3)), y)
-    assert val == 0.0 and witness is None
+    # every state attains phi(<0, 0>) = 0 = ||0||^2, so any state witnesses 0
+    assert val == 0.0
+    assert abs(np.trace(witness.density) - 1.0) <= 1e-12
+    assert state_value(witness, inner_product(np.zeros((3, 3)), y)) == 0.0
 
 
 def test_rho_pair_structure():

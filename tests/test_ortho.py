@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from rhoperp import (PreconditionFailed, bhatia_semrl_witness, inner_product,
-                     is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
-                     is_norm_parallel, is_rho_orthogonal, m_lower_bound,
-                     module_action, module_norm, rho_pair, state_value)
+from rhoperp import (PreconditionFailed, StateWitness, bhatia_semrl_witness,
+                     inner_product, is_bj, is_bj_real, is_bj_strong,
+                     is_ip_orthogonal, is_norm_parallel, is_rho_orthogonal,
+                     m_lower_bound, module_action, module_norm, rho_pair,
+                     state_value)
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
-                            inner_orthogonal_pair, random_element)
+                            inner_orthogonal_pair, random_degenerate_element,
+                            random_element)
 
 T, S, R = incomparability_triple()
 J2 = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -111,8 +113,22 @@ def test_parallel_zero_element_has_unit_witness():
         assert rep.holds and rep.witness == 1.0
 
 
+PREDICATES = (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
+              is_norm_parallel)
+
+
+def _check_bhatia_vector(v, x, y, real):
+    """v is a unit vector in the top face of x with [x v, y v] = 0 (its
+    real part for ``real``), relative to ||x|| ||y||."""
+    nx, ny = module_norm(x), module_norm(y)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-10
+    assert abs(np.linalg.norm(x @ v) - nx) <= 1e-8 * nx
+    pairing = (x @ v).conj() @ (y @ v)
+    assert abs(pairing.real if real else pairing) <= 1e-8 * nx * ny
+
+
 @pytest.mark.filterwarnings("error")
-def test_parallel_verdict_invariant_under_extreme_scales():
+def test_verdicts_invariant_under_extreme_scales():
     rng = np.random.default_rng(3)
     pairs = [(random_element(rng, 3, 3), random_element(rng, 3, 3))]
     for _ in range(6):
@@ -120,16 +136,54 @@ def test_parallel_verdict_invariant_under_extreme_scales():
         x = random_element(rng, m, n)
         c = complex(rng.standard_normal(), rng.standard_normal())
         pairs += [(x, random_element(rng, m, n)), (x, c * x)]
+    pairs += [bj_orthogonal_pair(rng, 3, 3), bj_orthogonal_pair(rng, 4, 2),
+              inner_orthogonal_pair(rng, 4, 3), (T, S), (T, R)]
     scales = (1e-150, 1e-5, 1.0, 1e80, 1e160)
     for x, y in pairs:
-        base = is_norm_parallel(x, y)
+        base = {pred: pred(x, y) for pred in PREDICATES}
+        unit = rho_pair(x, y)
+        slack = 1e-12 * module_norm(x) * module_norm(y)
         for c in scales:
             for d in scales:
-                rep = is_norm_parallel(c * x, d * y)
-                assert rep.holds == base.holds
-                assert rep.margin == pytest.approx(base.margin, abs=1e-12)
-                if base.holds:
-                    assert abs(rep.witness - base.witness) <= 1e-12
+                for pred, ref in base.items():
+                    rep = pred(c * x, d * y)
+                    assert rep.holds == ref.holds, (pred.__name__, c, d)
+                    assert rep.margin == pytest.approx(ref.margin, abs=1e-12)
+                    if pred is is_norm_parallel and ref.holds:
+                        assert abs(rep.witness - ref.witness) <= 1e-12
+                pair = rho_pair(c * x, d * y)
+                for got, want in ((pair.rho_plus, unit.rho_plus),
+                                  (pair.rho_minus, unit.rho_minus)):
+                    if np.isfinite(got):
+                        assert abs(got / c / d - want) <= slack
+                for real, pred in ((False, is_bj), (True, is_bj_real)):
+                    if base[pred].holds:
+                        _check_bhatia_vector(bhatia_semrl_witness(c * x, d * y, real=real),
+                                             x, y, real)
+
+
+def test_small_element_is_not_zero():
+    rng = np.random.default_rng(3)
+    x, y = random_element(rng, 3, 3), random_element(rng, 3, 3)
+    for pred in PREDICATES:
+        assert not pred(x, y).holds
+        assert not pred(1e-14 * x, y).holds
+        # a subnormal norm is the zero element, orthogonal to everything
+        assert pred(1e-310 * x, y).holds
+
+
+def test_every_relation_holds_against_zero():
+    rng = np.random.default_rng(17)
+    for x in (random_element(rng, 4, 3), random_degenerate_element(rng, 4, 4, 2)):
+        zero = np.zeros_like(x)
+        gram, n2 = inner_product(x, x), module_norm(x) ** 2
+        for pred in PREDICATES:
+            rep = pred(x, zero)
+            assert rep.holds and rep.margin == 0.0
+            if isinstance(rep.witness, StateWitness):
+                assert abs(state_value(rep.witness, gram) - n2) <= 1e-10 * n2
+        for real in (False, True):
+            _check_bhatia_vector(bhatia_semrl_witness(x, zero, real=real), x, zero, real)
 
 
 def test_zero_element_is_orthogonal_to_everything():

@@ -56,6 +56,11 @@ def test_top_face_degenerate_flagged_dimension():
 def test_top_face_rejects_zero():
     with pytest.raises(ZeroElement):
         top_face(np.zeros((2, 2)))
+    # zero means zero: a small element has the face of its direction
+    x = random_element(np.random.default_rng(11), 3, 3)
+    face, small = top_face(x), top_face(1e-14 * x)
+    assert small.dim == face.dim == 1
+    assert abs(abs(small.isometry[:, 0].conj() @ face.isometry[:, 0]) - 1.0) <= 1e-10
 
 
 def test_top_face_isometry_residual():
