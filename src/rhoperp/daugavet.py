@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
-from .hmodule import _unit, inner_product, module_action, module_norm
-from .matcore import _finite, _norm, as_complex_matrix
+from .hmodule import _unit
+from .matcore import _TINY, _norm, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import StateWitness, _top_face
 
@@ -82,17 +82,21 @@ def module_daugavet_check(x, alpha: float, beta: float, tol: float = 1e-9) -> Da
     """Check ||alpha x + beta x<x,x>|| = alpha ||x|| + beta ||x||^3.
 
     Requires alpha, beta > 0; also verifies ||x<x,x>|| = ||x||^3.
+    Computed on u = x/||x||, for which x<x,x> = ||x||^3 u<u,u>.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidScalars(f"coefficients must be positive, got ({alpha!r}, {beta!r})")
-    x = as_complex_matrix(x)
-    cube = module_action(x, inner_product(x, x))
-    nx = module_norm(x)
-    lhs = module_norm(alpha * x + beta * cube)
-    rhs = alpha * nx + beta * nx ** 3
+    nx, u = _unit(as_complex_matrix(x))
+    n3 = nx * nx * nx
+    b = beta * nx * nx
+    rhs = nx * (alpha + b)
+    if n3 == np.inf or rhs == np.inf:
+        raise ValueError("||x||^3 or alpha ||x|| + beta ||x||^3 beyond the double range")
+    cube = u @ (u.conj().T @ u)
+    lhs = nx * _norm(alpha * u + b * cube)
     residual = abs(lhs - rhs)
-    cube_res = abs(module_norm(cube) - nx ** 3)
-    within = residual <= tol * (1.0 + rhs) and cube_res <= tol * (1.0 + nx ** 3)
+    cube_res = abs(_norm(cube) - 1.0) * n3
+    within = residual <= tol * (1.0 + rhs) and cube_res <= tol * (1.0 + n3)
     return DaugavetReport(alpha=alpha, beta=beta, lhs=lhs, rhs=rhs,
                           residual=residual, cube_norm_residual=cube_res,
                           within_tol=bool(within), tol=tol)
@@ -129,24 +133,30 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     Returns a top right-singular vector x_o and checks ||T x_o|| = ||T||,
     ||T T* T x_o|| = ||T T* T|| = ||T||^3, and that T/||T|| and
     TT*T/||TT*T|| agree on x_o.
+    Computed on S = T/||T||, for which T T* T = ||T||^3 S S* S.
     """
     t = as_complex_matrix(t)
     _, svals, vh = np.linalg.svd(t)
     nt = float(svals[0])
-    if nt <= 1e-12:
+    if nt < _TINY:
         raise ZeroOperator("witness undefined for the zero operator")
+    n3 = nt * nt * nt
+    if n3 == np.inf:
+        raise ValueError("||T||^3 beyond the double range")
+    s = t / nt
     x_o = vh[0].conj()
-    cube = _finite(t @ t.conj().T @ t)
-    n_cube = _norm(cube)
-    sum_norm = _norm(_finite(t + cube))
-    t_att = abs(float(np.linalg.norm(t @ x_o)) - nt)
-    c_att = abs(float(np.linalg.norm(cube @ x_o)) - n_cube)
-    align = float(np.linalg.norm(t @ x_o / nt - cube @ x_o / n_cube))
-    eq_res = abs(sum_norm - (nt + nt ** 3))
-    checks = max(t_att, c_att, align, eq_res, abs(n_cube - nt ** 3))
+    cube = s @ s.conj().T @ s
+    nc = _norm(cube)
+    n_cube = nc * n3
+    sum_norm = nt * _norm(s + (nt * nt) * cube)
+    t_att = abs(float(np.linalg.norm(s @ x_o)) - 1.0) * nt
+    c_att = abs(float(np.linalg.norm(cube @ x_o)) - nc) * n3
+    align = float(np.linalg.norm(s @ x_o - cube @ x_o / nc))
+    eq_res = abs(sum_norm - (nt + n3))
+    checks = max(t_att, c_att, align, eq_res, abs(n_cube - n3))
     return OperatorWitnessReport(
         vector=x_o, norm_t=nt, norm_cube=n_cube, sum_norm=sum_norm,
         attainment_residual=t_att, cube_attainment_residual=c_att,
         alignment_residual=align, equation_residual=eq_res,
-        within_tol=bool(checks <= tol * (1.0 + nt ** 3)), tol=tol,
+        within_tol=bool(checks <= tol * (1.0 + n3)), tol=tol,
     )

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _unit_pair
+from .hmodule import _unit, _unit_pair
 from .matcore import _finite, _norm, _spectrum, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_compress, _face_state, _numerical_radius, _reduce,
@@ -179,9 +179,12 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 
 
 def m_lower_bound(y) -> float:
-    """inf phi(<y, y>) over all states: lambda_min(<y, y>)."""
-    y = as_complex_matrix(y)
-    return float(_spectrum(_finite(y.conj().T @ y)).eigenvalues[-1])
+    """inf phi(<y, y>) over all states: ||y||^2 lambda_min(<w, w>), w = y/||y||."""
+    ny, w = _unit(as_complex_matrix(y))
+    low = float(_spectrum(w.conj().T @ w).eigenvalues[-1]) * ny * ny
+    if abs(low) == np.inf:
+        raise ValueError("lambda_min(<y, y>) beyond the double range")
+    return low
 
 
 def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> np.ndarray:

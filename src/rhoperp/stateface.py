@@ -14,7 +14,8 @@ with an explicit certificate either way:
 The decision minimizes the support function
 ``g(t) = lambda_max((e^{it} M + e^{-it} M*)/2)`` over the circle; for a
 convex set this minimum is the signed distance from 0 to the boundary of
-the range.
+the range; its maximum is the numerical radius w(M).  Both come from one
+level-set search, with no angle grid (:func:`_support_extremum`).
 
 The membership vector comes from one construction on an inner polygon of
 W(M) (see :func:`zero_in_numrange`): R. Carden, "A simple algorithm for
@@ -29,19 +30,19 @@ w = y/||y||.  A zero x gives u = 0, whose face is every state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg import eigvals
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
-from .hmodule import _unit_pair, inner_product
-from .matcore import (_TINY, _finite, _norm, _spectrum, as_complex_matrix,
-                      operator_norm)
+from .hmodule import _unit, _unit_pair, inner_product
+from .matcore import _norm, _spectrum, as_complex_matrix, operator_norm
 
-# Angles in the coarse scan of the support function.
-_SUPPORT_GRID = 720
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# |z| within this of 1 marks a point of a level set.  Rounding splits the
+# double root of a tangent level about sqrt(eps) off the circle; a looser
+# threshold only adds arcs, a tighter one can merge arcs and stop early.
+_UNIMODULAR_TOL = 1e-6
 
 # Boundary points added to the certificate's inner polygon before it stops.
 _CERTIFICATE_ROUNDS = 32
@@ -120,12 +121,17 @@ def top_face(x, gap_tol: float = 1e-10) -> TopFace:
 
     Eigenvalues within ``gap_tol`` (relative) of the largest join the
     face.  Raises :class:`ZeroElement` only for the zero element, an x
-    whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).
+    whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).  It is
+    the face of u = x/||x||, with eigenvalues scaled back by ||x||^2.
     """
-    x = as_complex_matrix(x)
-    if _norm(x) < _TINY:
+    nx, u = _unit(as_complex_matrix(x))
+    if nx == 0.0:
         raise ZeroElement("top face undefined for the zero element")
-    return _top_face(_finite(x.conj().T @ x), gap_tol)
+    face = _top_face(u.conj().T @ u, gap_tol)
+    n2 = nx * nx
+    if n2 == np.inf:
+        raise ValueError("||x||^2 beyond the double range")
+    return replace(face, lambda_max=face.lambda_max * n2, gap=face.gap * n2)
 
 
 def _top_face(gram: np.ndarray, gap_tol: float = 1e-10) -> TopFace:
@@ -231,75 +237,56 @@ def _support_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
-def _support_value(m: np.ndarray, theta: float) -> float:
-    k = np.exp(1j * theta) * m
-    return float(np.linalg.eigvalsh((k + k.conj().T) / 2.0)[-1])
+def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
+    """(t, h(t)) at the maximum (sign = 1) or minimum (sign = -1) of
+    h(t) = lambda_max(Re(e^{it} M)) over the circle, h(t) always evaluated.
 
-
-def _golden_min(f, lo: float, hi: float, width: float = 1e-12) -> tuple[float, float]:
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > width:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    t = (a + b) / 2.0
-    return t, f(t)
-
-
-def _scan_min(values, value) -> tuple[float, float]:
-    """Global minimum over the circle of a Lipschitz function of the angle,
-    given batched (``values``) and pointwise (``value``).
-
-    Coarse scan plus golden-section refinement around the lowest local
-    grid minima; a Lipschitz constant L bounds the scan error by
-    L * pi / grid.
+    Level sets (Mengi and Overton 2005): the angles where gamma is an
+    eigenvalue of Re(e^{it} M) are the unimodular eigenvalues z = e^{it} of
+    z^2 M - 2 gamma z I + M*, by QZ on a linearisation that allows a
+    singular M.  On each arc between them h - gamma keeps one sign, so at
+    gamma = h(t) the best arc midpoint improves on t unless t is extreme.
+    Starts from the best of 8 equal angles; stops when no midpoint gains
+    more than a few ulps of ||M||.
     """
-    thetas = np.linspace(0.0, 2.0 * np.pi, _SUPPORT_GRID, endpoint=False)
-    vals = values(thetas)
-    step = 2.0 * np.pi / _SUPPORT_GRID
-    local = np.flatnonzero((vals <= np.roll(vals, 1)) & (vals <= np.roll(vals, -1)))
-    # flat curves make every grid point a local minimum; refining the few
-    # lowest candidates is enough within the Lipschitz grid error
-    local = local[np.argsort(vals[local], kind="stable")][:16]
-    best_t, best_v = float(thetas[np.argmin(vals)]), float(np.min(vals))
-    for i in local:
-        t0 = thetas[i]
-        t, v = _golden_min(value, t0 - step, t0 + step)
-        if v < best_v:
-            best_t, best_v = t, v
-    return best_t % (2.0 * np.pi), best_v
+    eye, zero = np.eye(len(m)), np.zeros(m.shape)
+    b = np.block([[eye, zero], [zero, m]])
+    slack = 4.0 * np.finfo(float).eps * np.linalg.norm(m)
+    t, best = 0.0, -np.inf
+    ts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    while ts.size:
+        vals = sign * _support_values(m, ts)
+        i = int(np.argmax(vals))
+        if vals[i] <= best + slack:
+            break
+        t, best = float(ts[i]), float(vals[i])
+        z = eigvals(np.block([[zero, eye], [-m.conj().T, 2.0 * sign * best * eye]]), b)
+        cuts = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]))
+        ts = cuts + np.diff(cuts, append=cuts[:1] + 2.0 * np.pi) / 2.0
+    return t % (2.0 * np.pi), sign * best
 
 
 def _minimize_support(m: np.ndarray) -> tuple[float, float]:
-    """Global minimum of the support function over the circle (Lipschitz
-    with constant ||M||); for M = c I, whose range is the point c (every
-    1-by-1 M, and the zero compression of a zero x), it is -|c| (+0.0 at
-    c = 0), at pi - arg c."""
+    """Global minimum of the support function over the circle; for M = c I,
+    whose range is the point c (every 1-by-1 M, and the zero compression
+    of a zero x), it is -|c| (+0.0 at c = 0), at pi - arg c."""
     c = complex(m[0, 0])
     if m.shape[0] == 1 or not (m - c * np.eye(m.shape[0])).any():
         return float((np.pi - np.angle(c)) % (2.0 * np.pi)), 0.0 - abs(c)
-    return _scan_min(lambda ts: _support_values(m, ts), lambda t: _support_value(m, t))
+    return _support_extremum(m, -1.0)
 
 
 def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
     """w(M) = max_t lambda_max(Re(e^{it} M)) and a unit v attaining it.
 
     v is the top eigenvector of Re(e^{it} M) at the maximizing angle, so
-    |v* M v| = w(M) up to the scan's refinement; a 1-by-1 [c] gives |c|.
+    |v* M v| = w(M) to the accuracy of the level-set search; [c] gives |c|.
     """
     if m.shape[0] == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=np.complex128)
-    t, v = _scan_min(lambda ts: -_support_values(m, ts), lambda t: -_support_value(m, t))
+    t, w = _support_extremum(m, 1.0)
     k = np.exp(1j * t) * m
-    return -v, np.linalg.eigh((k + k.conj().T) / 2.0)[1][:, -1]
+    return w, np.linalg.eigh((k + k.conj().T) / 2.0)[1][:, -1]
 
 
 def _quad_form(m: np.ndarray, z: np.ndarray) -> complex:

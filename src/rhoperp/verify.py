@@ -633,15 +633,15 @@ def _check_numrange_grid_agreement(rng, trials):
         ph = np.exp(1j * thetas).reshape(-1, 1, 1)
         g_scan = float(np.linalg.eigvalsh((ph * m + ph.conj() * m.conj().T) / 2.0)[:, -1].min())
         nrm = operator_norm(m)
-        # Both minima sit within the coarse grid's Lipschitz error of the
-        # true minimum, so they agree up to ||M|| pi / 720 plus slack.
-        band = nrm * np.pi / 720 + 1e-9 * (1.0 + nrm)
-        margin = band - abs(res.margin - g_scan)
+        # The margin is the support function evaluated at its minimum, so
+        # it lies at or below the scan's minimum (up to rounding) and within
+        # the 4096-angle grid's Lipschitz error ||M|| pi / 4096 of it.
+        band = nrm * np.pi / 4096 + 1e-9 * (1.0 + nrm)
         if g_scan > band and not res.contains_zero:
             return -1.0
         if g_scan < -band and res.contains_zero:
             return -1.0
-        return margin
+        return [band - abs(res.margin - g_scan), g_scan + 1e-12 * (1.0 + nrm) - res.margin]
     return _margins("numrange-grid-agreement", rng, trials, one)
 
 

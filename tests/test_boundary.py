@@ -4,7 +4,8 @@ Every public operation rejects non-finite entries and mismatched shapes;
 inside, the kernels trust their arrays, so a generic call makes only the
 LAPACK work its mathematics needs.  The call-count guards fail if
 re-validation (drift SVDs, density eigenvalue checks, angle grids on a
-scalar face) creeps back in.
+scalar face) creeps back in, or if the level-set search of the support
+function grows into an angle grid.
 """
 
 import numpy as np
@@ -15,7 +16,10 @@ from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_norm_parallel, is_rho_orthogonal,
                      operator_daugavet_witness, rho_cube_identity, rho_pair,
                      state_from_face_vector, top_face, zero_in_numrange)
-from rhoperp.verify import bj_orthogonal_pair, random_element
+from rhoperp import stateface
+from rhoperp.stateface import eigvals
+from rhoperp.verify import (bj_orthogonal_pair, random_degenerate_element,
+                            random_element)
 
 PAIR_OPS = (rho_pair, is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong,
             is_rho_orthogonal, is_norm_parallel, bhatia_semrl_witness)
@@ -31,7 +35,8 @@ def _with_nan(a):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of numpy.linalg calls, and of calls on a stack of matrices."""
+    """Counts of numpy.linalg calls, of calls on a stack of matrices, and
+    of the level-set pencil solves (``pencil``) of the support search."""
     counts = {f: 0 for f in LAPACK}
     counts["batched"] = 0
     for f in LAPACK:
@@ -43,6 +48,13 @@ def lapack_calls(monkeypatch):
             return _orig(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, f, counted)
+    counts["pencil"] = 0
+
+    def pencil(a, b):
+        counts["pencil"] += 1
+        return eigvals(a, b)
+
+    monkeypatch.setattr(stateface, "eigvals", pencil)
     return counts
 
 
@@ -130,3 +142,20 @@ def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):
             bhatia_semrl_witness(x, y)
     assert lapack_calls["batched"] == 0
     assert lapack_calls["eigvalsh"] == 0
+
+
+def test_support_search_takes_few_level_sets(lapack_calls):
+    # a plateau: W(J_4) is a disc around 0 and every angle is optimal
+    zero_in_numrange(np.diag(np.ones(3), 1))
+    assert lapack_calls["pencil"] <= 2
+    lapack_calls["pencil"] = 0
+    is_norm_parallel(np.eye(3), np.diag(np.ones(2), 1))
+    assert lapack_calls["pencil"] <= 2
+    # a 2-dim face: the level sets converge quadratically to a smooth minimum
+    rng = np.random.default_rng(47)
+    x = random_degenerate_element(rng, 4, 4, multiplicity=2)
+    y = random_element(rng, 4, 4)
+    assert top_face(x).dim == 2
+    lapack_calls["pencil"] = 0
+    is_bj(x, y)
+    assert 1 <= lapack_calls["pencil"] <= 6

@@ -75,6 +75,20 @@ def test_daugavet_sweep():
             assert rep.cube_norm_residual <= 1e-9 * (1.0 + module_norm(x) ** 3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_daugavet_check_across_scales():
+    # ||a c x + (b/c^2) (c x)<c x, c x>|| = c ||a x + b x<x,x>||
+    x = random_element(np.random.default_rng(3), 3, 3)
+    base = module_daugavet_check(x, 1.0, 1.0)
+    for c in 10.0 ** np.linspace(-150.0, 100.0, 26):
+        rep = module_daugavet_check(c * x, 1.0, 1.0 / (c * c))
+        assert rep.within_tol
+        assert rep.lhs / c == pytest.approx(base.lhs, rel=1e-12)
+        assert rep.rhs / c == pytest.approx(base.rhs, rel=1e-12)
+    with pytest.raises(ValueError):  # ||x||^3 is beyond the double range
+        module_daugavet_check(1e110 * x, 1.0, 1e-220)
+
+
 def test_daugavet_rejects_nonpositive_scalars():
     with pytest.raises(InvalidScalars):
         module_daugavet_check(np.eye(2), 0.0, 1.0)
@@ -137,3 +151,17 @@ def test_operator_witness_rectangular():
 def test_operator_witness_rejects_zero():
     with pytest.raises(ZeroOperator):
         operator_daugavet_witness(np.zeros((2, 2)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_operator_witness_across_scales():
+    t = random_element(np.random.default_rng(3), 3, 3)
+    base = operator_daugavet_witness(t)
+    for c in 10.0 ** np.linspace(-150.0, 100.0, 26):
+        rep = operator_daugavet_witness(c * t)
+        assert rep.within_tol
+        assert rep.norm_t / c == pytest.approx(base.norm_t, rel=1e-12)
+        assert abs(abs(rep.vector.conj() @ base.vector) - 1.0) <= 1e-12
+        assert rep.alignment_residual <= 1e-12
+    with pytest.raises(ValueError):  # ||T||^3 is beyond the double range
+        operator_daugavet_witness(1e110 * t)

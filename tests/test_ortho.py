@@ -246,6 +246,16 @@ def test_m_lower_bound_values():
     assert m_lower_bound(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.filterwarnings("error")
+def test_m_lower_bound_across_scales():
+    y = random_element(np.random.default_rng(3), 3, 3)
+    base = m_lower_bound(y)
+    for c in 10.0 ** np.linspace(-150.0, 150.0, 31):
+        assert m_lower_bound(c * y) / (c * c) == pytest.approx(base, rel=1e-10)
+    with pytest.raises(ValueError):  # lambda_min(<y, y>) is beyond the double range
+        m_lower_bound(1e160 * y)
+
+
 def test_m_lower_bound_inequality_under_bj():
     rng = np.random.default_rng(10)
     for _ in range(30):

@@ -6,10 +6,10 @@ from scipy.optimize import minimize_scalar
 
 from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      cauchy_schwarz_gap, face_compression, inner_product, is_bj,
-                     maximally_mixed, module_norm, operator_norm,
-                     state_from_face_vector, state_value, top_face,
-                     zero_in_numrange)
-from rhoperp.stateface import _carden_step
+                     is_norm_parallel, maximally_mixed, module_norm,
+                     operator_norm, state_from_face_vector, state_value,
+                     top_face, zero_in_numrange)
+from rhoperp.stateface import _carden_step, _numerical_radius
 from rhoperp.verify import (incomparability_triple, random_degenerate_element,
                             random_element, random_state)
 
@@ -48,9 +48,23 @@ def test_top_face_state_attains_norm():
         assert abs(val - module_norm(x) ** 2) <= 1e-9 * (1.0 + module_norm(x) ** 2)
 
 
+@pytest.mark.filterwarnings("error")
 def test_top_face_degenerate_flagged_dimension():
     x = random_degenerate_element(np.random.default_rng(9), 4, 4, multiplicity=2)
-    assert top_face(x).dim == 2
+    face = top_face(x)
+    assert face.dim == 2
+    # the face is that of x/||x||: the same at every scale
+    for c in 10.0 ** np.linspace(-150.0, 150.0, 61):
+        scaled = top_face(c * x)
+        assert scaled.dim == 2
+        assert scaled.lambda_max == pytest.approx(c * c * face.lambda_max, rel=1e-12)
+        assert scaled.gap == pytest.approx(c * c * face.gap, rel=1e-9)
+        overlap = scaled.isometry.conj().T @ face.isometry
+        assert np.linalg.svd(overlap, compute_uv=False)[-1] >= 1.0 - 1e-12
+    # <x, x> itself would be subnormal here, and would overflow below
+    assert top_face(1e-160 * x).dim == top_face(1e-170 * x).dim == 2
+    with pytest.raises(ValueError):
+        top_face(1e160 * x)
 
 
 def test_top_face_rejects_zero():
@@ -154,8 +168,9 @@ def test_zero_in_numrange_grid_scan_agreement():
         res = zero_in_numrange(m)
         g_scan = float(_support_scan(m).min())
         nrm = operator_norm(m)
-        band = nrm * np.pi / 720 + 1e-9 * (1.0 + nrm)
+        band = nrm * np.pi / 4096 + 1e-9 * (1.0 + nrm)
         assert abs(res.margin - g_scan) <= band
+        assert res.margin <= g_scan + 1e-12 * (1.0 + nrm)
         if g_scan > band:
             assert res.contains_zero
         if g_scan < -band:
@@ -194,6 +209,10 @@ def _assert_member(m, tol=1e-9):
     return res
 
 
+def _assert_margin(res, m, margin):
+    assert abs(res.margin - margin) <= 1e-12 * (1.0 + operator_norm(m))
+
+
 def test_zero_in_numrange_normal_corner_and_edge():
     rng = np.random.default_rng(19)
     for k in range(2, 7):
@@ -204,10 +223,17 @@ def test_zero_in_numrange_normal_corner_and_edge():
             # 0 inside the segment between two eigenvalues
             s = rng.uniform(0.05, 0.95)
             _assert_member(_normal_matrix(rng, lam - (s * lam[0] + (1.0 - s) * lam[1])))
-        # eigenvalues in convex position: 0 at a corner, then inside an edge
+        # eigenvalues in convex position: 0 at a corner (a kink of the
+        # support function, and a singular M), then inside an edge; the
+        # margin is the distance to the boundary, 0 on it
         hull = np.exp(2j * np.pi * np.arange(k) / k)
-        _assert_member(_normal_matrix(rng, hull - hull[0]))
-        _assert_member(_normal_matrix(rng, hull - (0.3 * hull[0] + 0.7 * hull[1])))
+        m = _normal_matrix(rng, hull - hull[0])
+        _assert_margin(_assert_member(m), m, 0.0)
+        m = _normal_matrix(rng, hull - (0.3 * hull[0] + 0.7 * hull[1]))
+        _assert_margin(_assert_member(m), m, 0.0)
+        # the corner 0.05 beyond 0, along its outward normal
+        m = _normal_matrix(rng, hull - 1.05 * hull[0])
+        _assert_margin(zero_in_numrange(m), m, -0.05)
 
 
 def test_zero_in_numrange_jordan_discs():
@@ -220,9 +246,56 @@ def test_zero_in_numrange_jordan_discs():
             direction = np.exp(2j * np.pi * rng.uniform())
             radius = r * np.cos(np.pi / (k + 1))
             u = _haar_unitary(rng, k)
+            # tangent to 0, then 0 halfway to the centre
             for centre in (radius, 0.5 * radius):
                 m = u @ (centre * direction * np.eye(k) + r * jordan) @ u.conj().T
-                _assert_member(m)
+                _assert_margin(_assert_member(m), m, radius - centre)
+
+
+def test_support_extremes_on_plateaus():
+    # W(r J_k) is the disc of radius r cos(pi / (k + 1)) around 0, so the
+    # support function is constant: every angle is optimal
+    rng = np.random.default_rng(26)
+    for k in range(2, 7):
+        r = rng.uniform(0.5, 2.0)
+        u = _haar_unitary(rng, k)
+        m = u @ (r * np.diag(np.ones(k - 1), 1)) @ u.conj().T
+        radius = r * np.cos(np.pi / (k + 1))
+        _assert_margin(_assert_member(m), m, radius)
+        w, v = _numerical_radius(m)
+        assert abs(w - radius) <= 1e-12 * (1.0 + r)
+        assert abs(abs(v.conj() @ m @ v) - radius) <= 1e-12 * (1.0 + r)
+    # the face of I_3 is everything and W(J_3) is the disc of radius 1/sqrt(2)
+    rep = is_norm_parallel(np.eye(3), np.diag(np.ones(2), 1))
+    assert not rep.holds and rep.data["face_dim"] == 3
+    assert abs(rep.data["numerical_radius"] - np.sqrt(0.5)) <= 1e-12
+    assert abs(rep.margin - (np.sqrt(0.5) - 1.0)) <= 1e-12
+
+
+def _ellipse_contains_zero(m):
+    """Elliptical range theorem (C.-K. Li, Proc. AMS 124, 1996): W(M) of a
+    2-by-2 M is the elliptical disc with foci l1, l2 and minor axis
+    b = (tr M*M - |l1|^2 - |l2|^2)^(1/2), so 0 lies in it iff
+    |l1| + |l2| <= (|l1 - l2|^2 + b^2)^(1/2)."""
+    l1, l2 = np.linalg.eigvals(m)
+    b2 = np.trace(m.conj().T @ m).real - abs(l1) ** 2 - abs(l2) ** 2
+    return abs(l1) + abs(l2) <= np.sqrt(abs(l1 - l2) ** 2 + max(b2, 0.0))
+
+
+def test_zero_in_numrange_two_by_two_ellipse_reference():
+    rng = np.random.default_rng(27)
+    decided = 0
+    for _ in range(1000):
+        a = random_element(rng, 2, 2)
+        # move the centre of W(A) to a random point near 0
+        shift = rng.uniform(0.0, 2.0) * np.exp(2j * np.pi * rng.uniform())
+        m = a - (np.trace(a) / 2.0 + shift) * np.eye(2)
+        res = zero_in_numrange(m, tol=1e-13)
+        if abs(res.margin) <= 1e-9:
+            continue
+        decided += 1
+        assert res.contains_zero == _ellipse_contains_zero(m)
+    assert decided >= 950
 
 
 def _support(m, t):
