@@ -147,15 +147,14 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     x_o = vh[0].conj()
     cube = s @ s.conj().T @ s
     nc = _norm(cube)
-    n_cube = nc * n3
     sum_norm = nt * _norm(s + (nt * nt) * cube)
     t_att = abs(float(np.linalg.norm(s @ x_o)) - 1.0) * nt
     c_att = abs(float(np.linalg.norm(cube @ x_o)) - nc) * n3
     align = float(np.linalg.norm(s @ x_o - cube @ x_o / nc))
     eq_res = abs(sum_norm - (nt + n3))
-    checks = max(t_att, c_att, align, eq_res, abs(n_cube - n3))
+    checks = max(t_att, c_att, align, eq_res, abs(nc - 1.0) * n3)
     return OperatorWitnessReport(
-        vector=x_o, norm_t=nt, norm_cube=n_cube, sum_norm=sum_norm,
+        vector=x_o, norm_t=nt, norm_cube=nc * n3, sum_norm=sum_norm,
         attainment_residual=t_att, cube_attainment_residual=c_att,
         alignment_residual=align, equation_residual=eq_res,
         within_tol=bool(checks <= tol * (1.0 + n3)), tol=tol,

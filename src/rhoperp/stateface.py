@@ -37,12 +37,12 @@ from scipy.linalg import eigvals
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _unit, _unit_pair, inner_product
-from .matcore import _norm, _spectrum, as_complex_matrix, operator_norm
+from .matcore import _TINY, _norm, _spectrum, as_complex_matrix, operator_norm
 
-# |z| within this of 1 marks a point of a level set.  Rounding splits the
-# double root of a tangent level about sqrt(eps) off the circle; a looser
-# threshold only adds arcs, a tighter one can merge arcs and stop early.
-_UNIMODULAR_TOL = 1e-6
+# |z| within this of 1 marks a level-set point.  Rounding splits the double
+# root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
+# threshold only adds arcs, a tight one can merge arcs and stop early.
+_UNIMODULAR_TOL = 1e-3
 
 # Boundary points added to the certificate's inner polygon before it stops.
 _CERTIFICATE_ROUNDS = 32
@@ -243,25 +243,27 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
 
     Level sets (Mengi and Overton 2005): the angles where gamma is an
     eigenvalue of Re(e^{it} M) are the unimodular eigenvalues z = e^{it} of
-    z^2 M - 2 gamma z I + M*, by QZ on a linearisation that allows a
-    singular M.  On each arc between them h - gamma keeps one sign, so at
-    gamma = h(t) the best arc midpoint improves on t unless t is extreme.
-    Starts from the best of 8 equal angles; stops when no midpoint gains
-    more than a few ulps of ||M||.
+    z^2 M - 2 gamma z I + M*, by QZ on a linearisation (scaled by ||M||_F so
+    that its blocks balance) that allows a singular M.  On each arc between
+    them and t, h - gamma keeps one sign, so at gamma = h(t) the best arc
+    midpoint improves on t unless t is extreme.  Starts from the best of 8
+    equal angles; stops when no midpoint gains a few ulps of ||M||_F.
     """
-    eye, zero = np.eye(len(m)), np.zeros(m.shape)
-    b = np.block([[eye, zero], [zero, m]])
-    slack = 4.0 * np.finfo(float).eps * np.linalg.norm(m)
+    scale = max(float(np.linalg.norm(m)), _TINY)
+    eye, zero, ms = np.eye(len(m)), np.zeros(m.shape), m / scale
+    b = np.block([[eye, zero], [zero, ms]])
+    slack = 4.0 * np.finfo(float).eps * scale
     t, best = 0.0, -np.inf
     ts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    while ts.size:
+    while True:
         vals = sign * _support_values(m, ts)
         i = int(np.argmax(vals))
         if vals[i] <= best + slack:
             break
         t, best = float(ts[i]), float(vals[i])
-        z = eigvals(np.block([[zero, eye], [-m.conj().T, 2.0 * sign * best * eye]]), b)
-        cuts = np.sort(np.angle(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]))
+        z = eigvals(np.block([[zero, eye], [-ms.conj().T, 2.0 * sign * best / scale * eye]]), b)
+        z = np.append(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL], np.exp(1j * t))
+        cuts = np.sort(np.angle(z))
         ts = cuts + np.diff(cuts, append=cuts[:1] + 2.0 * np.pi) / 2.0
     return t % (2.0 * np.pi), sign * best
 
@@ -285,8 +287,7 @@ def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
     if m.shape[0] == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=np.complex128)
     t, w = _support_extremum(m, 1.0)
-    k = np.exp(1j * t) * m
-    return w, np.linalg.eigh((k + k.conj().T) / 2.0)[1][:, -1]
+    return w, _support_points(m, np.array([-t]))[1][0]
 
 
 def _quad_form(m: np.ndarray, z: np.ndarray) -> complex:

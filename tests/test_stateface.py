@@ -236,6 +236,28 @@ def test_zero_in_numrange_normal_corner_and_edge():
         _assert_margin(zero_in_numrange(m), m, -0.05)
 
 
+def test_zero_in_numrange_just_inside_a_symmetric_corner():
+    # 0 at distance d inside the corner hull[0] of a regular k-gon: the best
+    # start angle is a tangent level of the corner's branch, and the margin
+    # is the distance d cos(pi / k) to the two edges
+    rng = np.random.default_rng(28)
+    for k in range(3, 7):
+        hull = np.exp(2j * np.pi * np.arange(k) / k)
+        for d in (1e-2, 6e-4, 1e-6, 1e-9):
+            m = _normal_matrix(rng, hull - (1.0 - d) * hull[0])
+            _assert_margin(_assert_member(m), m, d * np.cos(np.pi / k))
+
+
+def test_support_extremes_scale_with_m():
+    rng = np.random.default_rng(29)
+    for k in (2, 3, 5):
+        m = random_element(rng, k, k)
+        margin, (w, _) = zero_in_numrange(m).margin, _numerical_radius(m)
+        for c in 10.0 ** np.linspace(-100.0, 100.0, 11):
+            assert abs(zero_in_numrange(c * m).margin / c - margin) <= 1e-12 * w
+            assert abs(_numerical_radius(c * m)[0] / c - w) <= 1e-12 * w
+
+
 def test_zero_in_numrange_jordan_discs():
     # W(c I + r J_k) is the disc of centre c and radius r cos(pi / (k + 1))
     rng = np.random.default_rng(20)
