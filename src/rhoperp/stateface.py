@@ -37,7 +37,7 @@ from scipy.linalg import eigvals
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _unit, _unit_pair, inner_product
-from .matcore import _TINY, _norm, _spectrum, as_complex_matrix, operator_norm
+from .matcore import _norm, _spectrum, as_complex_matrix, operator_norm
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -249,11 +249,11 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     midpoint improves on t unless t is extreme.  Starts from the best of 8
     equal angles; stops when no midpoint gains a few ulps of ||M||_F.
     """
-    scale = max(float(np.linalg.norm(m)), _TINY)
+    a = float(np.abs(m).max()) or 1.0  # ||M||_F via M/a: no over- or underflow
+    scale = a * float(np.linalg.norm(m / a)) or 1.0
     eye, zero, ms = np.eye(len(m)), np.zeros(m.shape), m / scale
     b = np.block([[eye, zero], [zero, ms]])
-    slack = 4.0 * np.finfo(float).eps * scale
-    t, best = 0.0, -np.inf
+    t, best, slack = 0.0, -np.inf, 4.0 * np.finfo(float).eps * scale
     ts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     while True:
         vals = sign * _support_values(m, ts)

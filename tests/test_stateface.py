@@ -9,7 +9,7 @@ from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      is_norm_parallel, maximally_mixed, module_norm,
                      operator_norm, state_from_face_vector, state_value,
                      top_face, zero_in_numrange)
-from rhoperp.stateface import _carden_step, _numerical_radius
+from rhoperp.stateface import _carden_step, _minimize_support, _numerical_radius
 from rhoperp.verify import (incomparability_triple, random_degenerate_element,
                             random_element, random_state)
 
@@ -248,14 +248,26 @@ def test_zero_in_numrange_just_inside_a_symmetric_corner():
             _assert_margin(_assert_member(m), m, d * np.cos(np.pi / k))
 
 
+@pytest.mark.filterwarnings("error")
 def test_support_extremes_scale_with_m():
+    # past 1e154 and below 1e-162 the squared entries leave the double range
+    scales = 10.0 ** np.linspace(-200.0, 200.0, 17)
     rng = np.random.default_rng(29)
     for k in (2, 3, 5):
         m = random_element(rng, k, k)
-        margin, (w, _) = zero_in_numrange(m).margin, _numerical_radius(m)
-        for c in 10.0 ** np.linspace(-100.0, 100.0, 11):
-            assert abs(zero_in_numrange(c * m).margin / c - margin) <= 1e-12 * w
+        g, (w, _) = _minimize_support(m)[1], _numerical_radius(m)
+        for c in scales:
+            assert abs(_minimize_support(c * m)[1] / c - g) <= 1e-12 * w
             assert abs(_numerical_radius(c * m)[0] / c - w) <= 1e-12 * w
+    # a disc 5% of its radius away from 0, its nearest point between two of
+    # the eight start angles, so only the level sets find the minimum
+    k, radius = 4, np.cos(np.pi / 5)
+    m = 1.05 * radius * np.exp(1j * (np.pi / 8 + 0.01)) * np.eye(k) + np.diag(np.ones(k - 1), 1)
+    for c in scales:
+        res = zero_in_numrange(c * m)
+        assert abs(res.margin / c + 0.05 * radius) <= 1e-12
+        if c >= 1.0:
+            assert not res.contains_zero
 
 
 def test_zero_in_numrange_jordan_discs():
