@@ -9,7 +9,7 @@ Suite report schema (also emitted by ``rhoperp check``)::
 
     {"seed": int, "trials": int, "all_pass": bool,
      "properties": [{"name": str, "trials": int, "failures": int,
-                     "worst_margin": float | null}, ...]}
+                     "worst_margin": float | null, "seconds": float}, ...]}
 
 Exit codes: 0 success (for ``ortho``: the relation holds; for ``check``:
 all properties pass; for ``daugavet``: identities within tolerance),

@@ -15,7 +15,10 @@ The decision minimizes the support function
 ``g(t) = lambda_max((e^{it} M + e^{-it} M*)/2)`` over the circle; for a
 convex set this minimum is the signed distance from 0 to the boundary of
 the range; its maximum is the numerical radius w(M).  Both come from one
-level-set search, with no angle grid (:func:`_support_extremum`).
+level-set search, with no angle grid (:func:`_support_extremum`).  Where 0
+lies on or beyond an edge of W(M) the minimum is a kink of g; the search
+also tries, on each arc between level-set angles, the normal of the chord
+between the arc's two boundary points, which lands on such a kink at once.
 
 The membership vector comes from one construction on an inner polygon of
 W(M) (see :func:`zero_in_numrange`): R. Carden, "A simple algorithm for
@@ -30,6 +33,7 @@ w = y/||y||.  A zero x gives u = 0, whose face is every state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -246,13 +250,23 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     z^2 M - 2 gamma z I + M*, by QZ on a linearisation (scaled by ||M||_F so
     that its blocks balance) that allows a singular M.  On each arc between
     them and t, h - gamma keeps one sign, so at gamma = h(t) the best arc
-    midpoint improves on t unless t is extreme.  Starts from the best of 8
-    equal angles; stops when no midpoint gains a few ulps of ||M||_F.
+    midpoint improves on t unless t is extreme.  A minimum may sit on a kink
+    of h, at the normal e^{-it} of an edge of W(M), where h is the larger of
+    the sinusoids Re(e^{it} p) of the edge's ends p.  So each arc also offers
+    the angle where the sinusoids of the boundary points p1, p2 at its ends
+    cross, e^{it}(p1 - p2) imaginary: once the ends lie on either side of a
+    kink, p1 and p2 are the edge's ends and that angle is the kink.  A
+    maximum is never a kink.  Starts from the best of 8 equal angles; stops
+    when no candidate gains a few ulps of ||M||_F.
     """
+    k = len(m)
     a = float(np.abs(m).max()) or 1.0  # ||M||_F via M/a: no over- or underflow
     scale = a * float(np.linalg.norm(m / a)) or 1.0
-    eye, zero, ms = np.eye(len(m)), np.zeros(m.shape), m / scale
-    b = np.block([[eye, zero], [zero, ms]])
+    # the pencil z B - A, with A = [[0, I], [-M*, 2 gamma I]] and
+    # B = [[I, 0], [0, M]] over ||M||_F; each level writes only gamma
+    pa, pb = np.zeros((2, 2 * k, 2 * k), dtype=np.complex128)
+    pa[:k, k:] = pb[:k, :k] = np.eye(k)
+    pa[k:, :k], pb[k:, k:] = -m.conj().T / scale, m / scale
     t, best, slack = 0.0, -np.inf, 4.0 * np.finfo(float).eps * scale
     ts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     while True:
@@ -261,10 +275,16 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
         if vals[i] <= best + slack:
             break
         t, best = float(ts[i]), float(vals[i])
-        z = eigvals(np.block([[zero, eye], [-ms.conj().T, 2.0 * sign * best / scale * eye]]), b)
+        np.fill_diagonal(pa[k:, k:], 2.0 * sign * best / scale)
+        z = eigvals(pa, pb, check_finite=False)
         z = np.append(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL], np.exp(1j * t))
         cuts = np.sort(np.angle(z))
-        ts = cuts + np.diff(cuts, append=cuts[:1] + 2.0 * np.pi) / 2.0
+        arcs = np.diff(cuts, append=cuts[:1] + 2.0 * np.pi)
+        ts = cuts + arcs / 2.0
+        if sign < 0.0:
+            p = _support_points(m, -cuts)[0]
+            off = (0.5 * np.pi - np.angle(np.diff(p, append=p[:1])) - cuts) % np.pi
+            ts = np.append(ts, (cuts + off)[off < arcs])
     return t % (2.0 * np.pi), sign * best
 
 
@@ -424,11 +444,18 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     until then the boundary point with outward normal ``-q/|q|`` is added,
     at most ``_CERTIFICATE_ROUNDS`` times.  ``residual`` is the achieved
     ``|z* M z|``.  A 1-by-1 [c] gives -|c|, pi - arg c, or [1] and |c|.
+    It decides on M/s, s the power of two with 1/2 <= ||M/s|| < 1 (1 for
+    M = 0; exact, and no step can overflow), and scales the margin and
+    residual back.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix of shape {m.shape} is not square")
-    return _zero_in_numrange(m, tol * (1.0 + _norm(m)))
+    nm = _norm(m)
+    s = math.ldexp(1.0, math.frexp(nm)[1])
+    res = _zero_in_numrange(m / s, tol * (1.0 + nm) / s)
+    residual = None if res.residual is None else res.residual * s
+    return replace(res, margin=res.margin * s, residual=residual)
 
 
 def _zero_in_numrange(m: np.ndarray, tol_abs: float) -> NumRangeCertificate:

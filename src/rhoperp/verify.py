@@ -15,8 +15,9 @@ violation).
 from __future__ import annotations
 
 import json
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -220,6 +221,8 @@ class PropertyResult:
     trials: int
     failures: int
     worst_margin: float | None
+    # wall time of the property; not part of its outcome, so == ignores it
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -239,7 +242,7 @@ class SuiteReport:
             "all_pass": self.all_pass,
             "properties": [
                 {"name": r.name, "trials": r.trials, "failures": r.failures,
-                 "worst_margin": r.worst_margin}
+                 "worst_margin": r.worst_margin, "seconds": r.seconds}
                 for r in self.results
             ],
         }
@@ -778,6 +781,8 @@ def property_suite(seed: int = 0, trials: int = 200, names=None) -> SuiteReport:
     child stream of the master seed, so running a subset (``names``)
     reproduces the same numbers as the full run.  Expensive searches cap
     their own trial counts; the cheap algebraic sweeps use ``trials``.
+    Each result carries the wall time of its property in ``seconds``
+    (``time.perf_counter``), the one field that varies between runs.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -788,7 +793,9 @@ def property_suite(seed: int = 0, trials: int = 200, names=None) -> SuiteReport:
         name = fn.__name__.removeprefix("_check_").replace("_", "-")
         if wanted is not None and name not in wanted:
             continue
-        results.append(fn(np.random.default_rng(child), trials))
+        start = time.perf_counter()
+        result = fn(np.random.default_rng(child), trials)
+        results.append(replace(result, seconds=time.perf_counter() - start))
     if wanted is not None:
         missing = wanted - {r.name for r in results}
         if missing:

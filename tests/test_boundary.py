@@ -50,9 +50,9 @@ def lapack_calls(monkeypatch):
         monkeypatch.setattr(np.linalg, f, counted)
     counts["pencil"] = 0
 
-    def pencil(a, b):
+    def pencil(a, b, **kwargs):
         counts["pencil"] += 1
-        return eigvals(a, b)
+        return eigvals(a, b, **kwargs)
 
     monkeypatch.setattr(stateface, "eigvals", pencil)
     return counts
@@ -144,6 +144,17 @@ def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):
     assert lapack_calls["eigvalsh"] == 0
 
 
+def _edge_matrix(rng, k, shift):
+    """Normal k-by-k matrix whose eigenvalue polygon has the edge [-b, a]
+    of the real axis, a, b > 0, with the rest above it; moved up by
+    ``shift`` (0 then lies that far outside), rotated and unitarily mixed."""
+    ends = [rng.uniform(0.5, 1.5), -rng.uniform(0.5, 1.5)]
+    rest = rng.uniform(-1.5, 1.5, k - 2) + 1j * rng.uniform(0.3, 1.5, k - 2)
+    eigs = np.exp(2j * np.pi * rng.uniform()) * (np.concatenate([ends, rest]) + 1j * shift)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q @ np.diag(eigs) @ q.conj().T
+
+
 def test_support_search_takes_few_level_sets(lapack_calls):
     # a plateau: W(J_4) is a disc around 0 and every angle is optimal
     zero_in_numrange(np.diag(np.ones(3), 1))
@@ -159,3 +170,11 @@ def test_support_search_takes_few_level_sets(lapack_calls):
     lapack_calls["pencil"] = 0
     is_bj(x, y)
     assert 1 <= lapack_calls["pencil"] <= 6
+    # 0 on or just beyond an edge of a normal matrix's eigenvalue polygon:
+    # the minimum is a kink, which the chord normal of its arc lands on
+    for k in range(3, 7):
+        for shift in (0.0, 0.05):
+            for _ in range(6):
+                lapack_calls["pencil"] = 0
+                zero_in_numrange(_edge_matrix(rng, k, shift))
+                assert 1 <= lapack_calls["pencil"] <= 3

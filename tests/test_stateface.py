@@ -270,6 +270,47 @@ def test_support_extremes_scale_with_m():
             assert not res.contains_zero
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_in_numrange_certificates_scale_with_m():
+    # 0 inside a disc and on an edge of a normal polygon: past 1e154 the
+    # certificate's products of entries would leave the double range
+    rng = np.random.default_rng(30)
+    disc = 0.5 * np.cos(np.pi / 5) * np.exp(0.4j) * np.eye(4) + np.diag(np.ones(3), 1)
+    edge = _normal_matrix(rng, np.exp(0.7j) * np.array([1.0, -0.7, 0.4 + 1.1j, -0.9 + 0.5j]))
+    for m, margin in ((disc, 0.5 * np.cos(np.pi / 5)), (edge, 0.0)):
+        for c in 10.0 ** np.linspace(-200.0, 200.0, 33):
+            res = zero_in_numrange(c * m)
+            assert res.contains_zero
+            assert abs(res.margin / c - margin) <= 1e-12
+            z = res.vector
+            assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+            assert abs(res.residual - c * abs(z.conj() @ m @ z)) <= 1e-14 * c
+            assert res.residual <= 1e-9 * (1.0 + c * operator_norm(m))
+
+
+def test_zero_in_numrange_near_an_edge():
+    # 0 at distance d = 10^[-14, -2] ||M|| inside or outside the edge [-b, a]
+    # of a random normal polygon whose other vertices lie above the real
+    # axis; the support function has a kink at its minimum, and the margin
+    # is +d or -d (every other edge is more than 0.05 away)
+    rng = np.random.default_rng(31)
+    tol = 1e-9
+    for k in range(3, 7):
+        for side in (1.0, -1.0):
+            for _ in range(12):
+                ends = [rng.uniform(0.5, 1.5), -rng.uniform(0.5, 1.5)]
+                rest = rng.uniform(-1.5, 1.5, k - 2) + 1j * rng.uniform(0.3, 1.5, k - 2)
+                eigs = np.concatenate([ends, rest])
+                d = 10.0 ** rng.uniform(-14.0, -2.0) * np.abs(eigs).max()
+                m = _normal_matrix(rng, np.exp(2j * np.pi * rng.uniform()) * (eigs - 1j * side * d))
+                res = zero_in_numrange(m, tol)
+                norm = operator_norm(m)
+                assert abs(res.margin - side * d) <= 1e-12 * (1.0 + norm)
+                assert res.contains_zero == (side * d >= -0.5 * tol * (1.0 + norm))
+                if res.contains_zero:
+                    assert res.residual <= tol * (1.0 + norm)
+
+
 def test_zero_in_numrange_jordan_discs():
     # W(c I + r J_k) is the disc of centre c and radius r cos(pi / (k + 1))
     rng = np.random.default_rng(20)

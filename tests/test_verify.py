@@ -137,10 +137,16 @@ def test_property_suite_passes():
     assert {r.name for r in rep.results} == set(property_names())
 
 
+def _outcome(payload):
+    """The payload without the per-property wall times, which vary."""
+    props = [{k: v for k, v in p.items() if k != "seconds"} for p in payload["properties"]]
+    return {**payload, "properties": props}
+
+
 def test_property_suite_is_deterministic():
     a = property_suite(seed=3, trials=10)
     b = property_suite(seed=3, trials=10)
-    assert a.to_json() == b.to_json()
+    assert _outcome(a.to_payload()) == _outcome(b.to_payload())
 
 
 def test_property_suite_subset_matches_full_run():
@@ -163,4 +169,5 @@ def test_property_suite_payload_schema():
     doc = rep.to_payload()
     assert set(doc) == {"seed", "trials", "all_pass", "properties"}
     entry = doc["properties"][0]
-    assert set(entry) == {"name", "trials", "failures", "worst_margin"}
+    assert set(entry) == {"name", "trials", "failures", "worst_margin", "seconds"}
+    assert 0.0 < entry["seconds"] < 60.0
