@@ -44,6 +44,7 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     the intermediate equality that forces the identity.  Computed on the
     unit element u = x/||x||, for which x<x,x> has unit direction
     u<u,u> and <u, u<u,u>> = <u,u>^2, and scaled by ||x||^4 at output.
+    ``within_tol``: both deviations are at most tol ||x||^4.
     """
     nx, u = _unit(as_complex_matrix(x))
     gram = u.conj().T @ u
@@ -59,7 +60,7 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
         rho_plus=r_plus, rho_minus=r_minus, norm_fourth=n4,
         max_deviation=dev, witness_square_residual=wsr,
         max_witness=w_hi, min_witness=w_lo,
-        within_tol=bool(dev <= tol * (1.0 + n4) and wsr <= tol * (1.0 + n4)),
+        within_tol=bool(dev <= tol * n4 and wsr <= tol * n4),
         tol=tol,
     )
 
@@ -83,6 +84,8 @@ def module_daugavet_check(x, alpha: float, beta: float, tol: float = 1e-9) -> Da
 
     Requires alpha, beta > 0; also verifies ||x<x,x>|| = ||x||^3.
     Computed on u = x/||x||, for which x<x,x> = ||x||^3 u<u,u>.
+    ``within_tol``: the residuals are at most tol times the right-hand
+    side and tol ||x||^3.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidScalars(f"coefficients must be positive, got ({alpha!r}, {beta!r})")
@@ -96,7 +99,7 @@ def module_daugavet_check(x, alpha: float, beta: float, tol: float = 1e-9) -> Da
     lhs = nx * _norm(alpha * u + b * cube)
     residual = abs(lhs - rhs)
     cube_res = abs(_norm(cube) - 1.0) * n3
-    within = residual <= tol * (1.0 + rhs) and cube_res <= tol * (1.0 + n3)
+    within = residual <= tol * rhs and cube_res <= tol * n3
     return DaugavetReport(alpha=alpha, beta=beta, lhs=lhs, rhs=rhs,
                           residual=residual, cube_norm_residual=cube_res,
                           within_tol=bool(within), tol=tol)
@@ -134,6 +137,9 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     ||T T* T x_o|| = ||T T* T|| = ||T||^3, and that T/||T|| and
     TT*T/||TT*T|| agree on x_o.
     Computed on S = T/||T||, for which T T* T = ||T||^3 S S* S.
+    ``within_tol``: each residual is at most tol times its own scale,
+    ||T||, ||T||^3, 1 (the alignment), ||T|| + ||T||^3 (the equation) and
+    ||T||^3 (||T T* T||).
     """
     t = as_complex_matrix(t)
     _, svals, vh = np.linalg.svd(t)
@@ -152,10 +158,11 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     c_att = abs(float(np.linalg.norm(cube @ x_o)) - nc) * n3
     align = float(np.linalg.norm(s @ x_o - cube @ x_o / nc))
     eq_res = abs(sum_norm - (nt + n3))
-    checks = max(t_att, c_att, align, eq_res, abs(nc - 1.0) * n3)
+    checks = ((t_att, nt), (c_att, n3), (align, 1.0), (eq_res, nt + n3),
+              (abs(nc - 1.0) * n3, n3))
     return OperatorWitnessReport(
         vector=x_o, norm_t=nt, norm_cube=nc * n3, sum_norm=sum_norm,
         attainment_residual=t_att, cube_attainment_residual=c_att,
         alignment_residual=align, equation_residual=eq_res,
-        within_tol=bool(checks <= tol * (1.0 + n3)), tol=tol,
+        within_tol=all(r <= tol * s for r, s in checks), tol=tol,
     )

@@ -15,7 +15,8 @@ The decision minimizes the support function
 ``g(t) = lambda_max((e^{it} M + e^{-it} M*)/2)`` over the circle; for a
 convex set this minimum is the signed distance from 0 to the boundary of
 the range; its maximum is the numerical radius w(M).  Both come from one
-level-set search, with no angle grid (:func:`_support_extremum`).  Where 0
+level-set search, with no angle grid (:func:`_support_extremum`), each
+level one QZ solve by a direct LAPACK ``zggev`` call.  Where 0
 lies on or beyond an edge of W(M) the minimum is a kink of g; the search
 also tries, on each arc between level-set angles, the normal of the chord
 between the arc's two boundary points, which lands on such a kink at once.
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigvals
+from scipy.linalg.lapack import zggev
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _unit, _unit_pair, inner_product
@@ -241,6 +242,22 @@ def _support_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(stack)[:, -1]
 
 
+def _unimodular_eigvals(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Eigenvalues z = alpha/beta of the pencil z B - A with ||z| - 1| within
+    _UNIMODULAR_TOL, from one LAPACK zggev (QZ) call at its minimal
+    workspace, which leaves A and B as they were.  Only beta != 0 is
+    divided: the infinite and the undetermined (alpha = beta = 0, a singular
+    pencil) eigenvalues are never unimodular."""
+    alpha, beta, _, _, _, info = zggev(pa, pb, compute_vl=0, compute_vr=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zggev")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zggev did not converge (info={info})")
+    finite = beta != 0.0
+    z = alpha[finite] / beta[finite]
+    return z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]
+
+
 def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     """(t, h(t)) at the maximum (sign = 1) or minimum (sign = -1) of
     h(t) = lambda_max(Re(e^{it} M)) over the circle, h(t) always evaluated.
@@ -248,7 +265,9 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     Level sets (Mengi and Overton 2005): the angles where gamma is an
     eigenvalue of Re(e^{it} M) are the unimodular eigenvalues z = e^{it} of
     z^2 M - 2 gamma z I + M*, by QZ on a linearisation (scaled by ||M||_F so
-    that its blocks balance) that allows a singular M.  On each arc between
+    that its blocks balance) that allows a singular M: one LAPACK zggev call
+    per level, its z = alpha/beta formed only where beta != 0
+    (:func:`_unimodular_eigvals`).  On each arc between
     them and t, h - gamma keeps one sign, so at gamma = h(t) the best arc
     midpoint improves on t unless t is extreme.  A minimum may sit on a kink
     of h, at the normal e^{-it} of an edge of W(M), where h is the larger of
@@ -276,8 +295,7 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
             break
         t, best = float(ts[i]), float(vals[i])
         np.fill_diagonal(pa[k:, k:], 2.0 * sign * best / scale)
-        z = eigvals(pa, pb, check_finite=False)
-        z = np.append(z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL], np.exp(1j * t))
+        z = np.append(_unimodular_eigvals(pa, pb), np.exp(1j * t))
         cuts = np.sort(np.angle(z))
         arcs = np.diff(cuts, append=cuts[:1] + 2.0 * np.pi)
         ts = cuts + arcs / 2.0

@@ -17,7 +17,7 @@ from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      operator_daugavet_witness, rho_cube_identity, rho_pair,
                      state_from_face_vector, top_face, zero_in_numrange)
 from rhoperp import stateface
-from rhoperp.stateface import eigvals
+from rhoperp.stateface import zggev
 from rhoperp.verify import (bj_orthogonal_pair, random_degenerate_element,
                             random_element)
 
@@ -52,9 +52,9 @@ def lapack_calls(monkeypatch):
 
     def pencil(a, b, **kwargs):
         counts["pencil"] += 1
-        return eigvals(a, b, **kwargs)
+        return zggev(a, b, **kwargs)
 
-    monkeypatch.setattr(stateface, "eigvals", pencil)
+    monkeypatch.setattr(stateface, "zggev", pencil)
     return counts
 
 

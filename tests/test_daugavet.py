@@ -165,3 +165,51 @@ def test_operator_witness_across_scales():
         assert rep.alignment_residual <= 1e-12
     with pytest.raises(ValueError):  # ||T||^3 is beyond the double range
         operator_daugavet_witness(1e110 * t)
+
+
+@pytest.mark.filterwarnings("error")
+def test_daugavet_tolerances_are_relative():
+    # each residual is judged against tol times its own scale, so under
+    # x -> c x, for c = 2^j (2^±498 spans 10^±150, and every product
+    # rescales exactly), within_tol and each residual/scale ratio stay the
+    # same; that holds for a tol below rounding too, which the absolute slack
+    # tol (1 + value) let every x below unit scale pass.  Both are read where
+    # the value is a normal double; above, it overflows.
+    x = random_element(np.random.default_rng(3), 3, 3)
+    nx = module_norm(x)
+
+    def cube(c, tol):
+        rep = rho_cube_identity(c * x, tol)
+        n4 = rep.norm_fourth
+        return rep.within_tol, [(rep.max_deviation, n4), (rep.witness_square_residual, n4)]
+
+    def module(c, tol):
+        rep = module_daugavet_check(c * x, 1.0, 1.0 / (c * c), tol)
+        n3 = (c * nx) ** 3
+        return rep.within_tol, [(rep.residual, rep.rhs), (rep.cube_norm_residual, n3)]
+
+    def operator(c, tol):
+        # ||T + T T* T|| is not homogeneous, so its residual ratio may move
+        rep = operator_daugavet_witness(c * x, tol)
+        n3 = rep.norm_t ** 3
+        return rep.within_tol, [(rep.attainment_residual, rep.norm_t),
+                                (rep.cube_attainment_residual, n3),
+                                (rep.alignment_residual, 1.0)]
+
+    for check, power in ((cube, 4), (module, 3), (operator, 3)):
+        for tol in (1e-9, 1e-17):
+            within, base = check(1.0, tol)
+            assert within == (tol > 1e-16)
+            ratios = [r / s for r, s in base]
+            for j in range(-498, 499, 83):
+                exponent = power * (j + np.log2(nx))  # of the value ||c x||^power
+                if exponent >= 1024.0:
+                    with pytest.raises(ValueError):
+                        check(2.0 ** j, tol)
+                    continue
+                within_c, pairs = check(2.0 ** j, tol)
+                if exponent > -1022.0:
+                    assert within_c == within
+                    assert [r / s for r, s in pairs] == ratios
+                else:  # residuals that scale with the value underflow to 0
+                    assert within_c or not within

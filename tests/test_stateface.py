@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals
+from scipy.linalg.lapack import zggev
 from scipy.optimize import minimize_scalar
 
+from rhoperp import stateface
 from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      cauchy_schwarz_gap, face_compression, inner_product, is_bj,
                      is_norm_parallel, maximally_mixed, module_norm,
                      operator_norm, state_from_face_vector, state_value,
                      top_face, zero_in_numrange)
-from rhoperp.stateface import _carden_step, _minimize_support, _numerical_radius
+from rhoperp.stateface import (_UNIMODULAR_TOL, _carden_step, _minimize_support,
+                               _numerical_radius, _support_extremum,
+                               _unimodular_eigvals)
 from rhoperp.verify import (incomparability_triple, random_degenerate_element,
                             random_element, random_state)
 
@@ -345,6 +350,75 @@ def test_support_extremes_on_plateaus():
     assert not rep.holds and rep.data["face_dim"] == 3
     assert abs(rep.data["numerical_radius"] - np.sqrt(0.5)) <= 1e-12
     assert abs(rep.margin - (np.sqrt(0.5) - 1.0)) <= 1e-12
+
+
+def _recorded_pencils(monkeypatch):
+    """Patch the level-set solve so that it records each pencil (A, B) and
+    the (alpha, beta) that LAPACK returned for it."""
+    seen = []
+
+    def recording(a, b, **kwargs):
+        out = zggev(a, b, **kwargs)
+        seen.append((a.copy(), b.copy(), out[0], out[1]))
+        return out
+
+    monkeypatch.setattr(stateface, "zggev", recording)
+    return seen
+
+
+def test_level_set_roots_match_scipy_eigvals(monkeypatch):
+    # the kept roots of the direct zggev call are those of scipy's eigvals,
+    # bit for bit, on the pencils the search builds and at other levels:
+    # the pencil diagonal 2 gamma / ||M||_F swept over [-2, 2]
+    seen = _recorded_pencils(monkeypatch)
+    rng = np.random.default_rng(48)
+    for k in range(1, 7):
+        corner = np.concatenate([[0.0], np.exp(1j * rng.uniform(0.2, 1.4, k - 1))])
+        for m in (random_element(rng, k, k), _normal_matrix(rng, corner)):
+            _support_extremum(m, -1.0)
+            _support_extremum(m, 1.0)
+            pencils = [(pa, pb) for pa, pb, _, _ in seen]
+            for pa, pb in pencils:
+                for d in (None, *np.linspace(-2.0, 2.0, 9)):
+                    if d is not None:
+                        np.fill_diagonal(pa[k:, k:], d)
+                    ref = eigvals(pa, pb)
+                    ref = ref[np.abs(np.abs(ref) - 1.0) <= _UNIMODULAR_TOL]
+                    assert _unimodular_eigvals(pa, pb).tobytes() == ref.tobytes()
+            seen.clear()
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_pencils_keep_their_values(monkeypatch):
+    # a singular M makes the pencil singular at level 0 (alpha = beta = 0);
+    # the search must drop that eigenvalue without dividing by zero
+    seen = _recorded_pencils(monkeypatch)
+    cases = (
+        (np.diag([0, 1j]), 0.0, (3 * np.pi / 2, 1.0), True),
+        (np.diag([0, 1, 1j]), 0.0, (0.0, 1.0), True),
+        (np.diag([0, 1j, 2]), 0.0, (0.0, 2.0), False),
+        (np.array([[0, 1], [0, 0]]), 0.5, (5 * np.pi / 4, 0.5000000000000001), False),
+    )
+    for m, margin, radius, undetermined in cases:
+        m = m.astype(np.complex128)
+        res = zero_in_numrange(m)
+        assert (res.contains_zero, res.margin, res.residual) == (True, margin, 0.0)
+        if undetermined:
+            assert any(((a == 0) & (b == 0)).any() for _, _, a, b in seen)
+        assert _support_extremum(m, 1.0) == radius
+        seen.clear()
+
+
+def test_level_set_solve_reports_lapack_failure(monkeypatch):
+    m = np.array([[1.0, 2.0j], [0.5, -1.0]], dtype=np.complex128)
+    for info, error in ((1, np.linalg.LinAlgError), (-3, ValueError)):
+        def failing(a, b, _info=info, **kwargs):
+            return (*zggev(a, b, **kwargs)[:5], _info)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(stateface, "zggev", failing)
+            with pytest.raises(error):
+                _support_extremum(m, -1.0)
 
 
 def _ellipse_contains_zero(m):
