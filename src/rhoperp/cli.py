@@ -12,9 +12,11 @@ Suite report schema (also emitted by ``rhoperp check``)::
                      "worst_margin": float | null, "seconds": float}, ...]}
 
 Exit codes: 0 success (for ``ortho``: the relation holds; for ``check``:
-all properties pass; for ``daugavet``: identities within tolerance),
-1 negative result, 2 parse/usage error, 3 shape mismatch.  Every exit
-path except parse errors prints a valid JSON document on stdout.
+all properties pass; for ``daugavet``: identities within tolerance; for
+``rho --oracle``: both difference quotients within ``tol ||x|| ||y||`` of
+the closed forms), 1 negative result, 2 parse/usage error, 3 shape
+mismatch.  Every exit path except parse errors prints a valid JSON
+document on stdout.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from .daugavet import (module_daugavet_check, operator_daugavet_witness,
                        rho_cube_identity)
 from .errors import InvalidScalars, ShapeMismatch, ZeroOperator
+from .hmodule import module_norm
 from .matcore import as_complex_matrix
 from .normderiv import rho_fd, rho_pair
 from .ortho import (DEFAULT_TOL, Relation, is_bj, is_bj_real, is_bj_strong,
@@ -123,18 +126,20 @@ def _cmd_rho(args) -> int:
         "max_witness": _witness_payload(pair.max_witness),
         "min_witness": _witness_payload(pair.min_witness),
     }
+    ok = True
     if args.oracle:
         fd_plus = rho_fd(x, y, "+")
         fd_minus = rho_fd(x, y, "-")
+        diff = max(abs(fd_plus - pair.rho_plus), abs(fd_minus - pair.rho_minus))
+        ok = diff <= args.tol * module_norm(x) * module_norm(y)
         report["oracle"] = {
             "rho_plus_fd": fd_plus,
             "rho_minus_fd": fd_minus,
-            "max_abs_difference": max(abs(fd_plus - pair.rho_plus),
-                                      abs(fd_minus - pair.rho_minus)),
+            "max_abs_difference": diff,
             "tolerance": args.tol,
         }
     _emit(report, args.json_out)
-    return 0
+    return 0 if ok else 1
 
 
 _RELATIONS = {
@@ -226,7 +231,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rho.add_argument("--oracle", action="store_true",
                        help="cross-check against the finite-difference quotient")
     p_rho.add_argument("--tol", type=float, default=1e-5,
-                       help="reporting tolerance for the oracle comparison")
+                       help="with --oracle, exit 1 when a quotient differs from its "
+                            "closed form by more than tol ||x|| ||y||")
     p_rho.add_argument("--json-out", help="also write the report to this file")
     p_rho.set_defaults(func=_cmd_rho)
 

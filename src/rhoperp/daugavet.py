@@ -19,7 +19,7 @@ from .errors import InvalidScalars, ZeroOperator
 from .hmodule import _unit
 from .matcore import _TINY, _norm, as_complex_matrix
 from .normderiv import _rho_extremes
-from .stateface import StateWitness, _top_face
+from .stateface import StateWitness, _face_state, _top_face
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,9 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     nx, u = _unit(as_complex_matrix(x))
     gram = u.conj().T @ u
     square = gram @ gram
-    hi, w_hi, lo, w_lo = _rho_extremes(_top_face(gram), square)
+    face = _top_face(gram)
+    hi, z_hi, lo, z_lo, _ = _rho_extremes(face, square)
+    w_hi, w_lo = _face_state(face, z_hi), _face_state(face, z_lo)
     n4 = nx * nx * nx * nx
     if n4 == np.inf:
         raise ValueError("||x||^4 beyond the double range")

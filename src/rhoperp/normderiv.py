@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NoConvergence
 from .hmodule import _as_pair, module_norm
-from .matcore import _spectrum
+from .matcore import _TINY, _spectrum
 from .stateface import StateWitness, _compress, _face_state, _reduce
 
 
@@ -35,14 +35,13 @@ class DerivativePair:
 
 
 def _rho_extremes(face, g):
-    """Extreme eigenvalues of Re V* G V and their states, for the face V
-    and G = <u, w> of a unit pair."""
-    spec = _spectrum(_compress(face, g))
-    hi = float(spec.eigenvalues[0])
-    lo = float(spec.eigenvalues[-1])
-    w_hi = _face_state(face, spec.eigenvectors[:, 0])
-    w_lo = _face_state(face, spec.eigenvectors[:, -1])
-    return hi, w_hi, lo, w_lo
+    """(lambda_max, z_max, lambda_min, z_min, H): the extreme eigenpairs, in face
+    coordinates, of H = Re V* G V for the face V and G = <u, w> of a unit pair."""
+    h = _compress(face, g)
+    h = (h + h.conj().T) / 2.0
+    spec = _spectrum(h)
+    return (float(spec.eigenvalues[0]), spec.eigenvectors[:, 0],
+            float(spec.eigenvalues[-1]), spec.eigenvectors[:, -1], h)
 
 
 def rho_plus(x, y) -> tuple[float, StateWitness]:
@@ -61,35 +60,38 @@ def rho_pair(x, y) -> DerivativePair:
     """Both derivatives at once, sharing one face computation; for x = 0
     both are 0, attained by every state."""
     nx, ny, face, g = _reduce(x, y)
-    hi, w_hi, lo, w_lo = _rho_extremes(face, g)
+    hi, z_hi, lo, z_lo, _ = _rho_extremes(face, g)
     if not lo <= hi:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")
     return DerivativePair(rho_plus=hi * nx * ny, rho_minus=lo * nx * ny,
                           rho_mid=(hi + lo) / 2.0 * nx * ny,
-                          max_witness=w_hi, min_witness=w_lo)
+                          max_witness=_face_state(face, z_hi),
+                          min_witness=_face_state(face, z_lo))
 
 
 def rho_fd(x, y, side: str = "+", tol: float = 1e-6) -> float:
     """One-sided difference quotient (||x + t y||^2 - ||x||^2) / (2 t).
 
-    Evaluates at t = (+/-) 2^{-k}, k = 1..48.  Convexity of
-    t -> ||x + t y||^2 makes the quotients monotone, approaching
-    rho_plus from above (side "+") or rho_minus from below (side "-");
-    returns the first value whose successive change drops below
-    ``tol * (1 + ||x|| ||y||)`` and raises :class:`NoConvergence` if that
-    never happens (ill-conditioned input).
+    Evaluates (||u + s w||^2 - 1) / (2 s) on the unit pair u = x/||x||,
+    w = y/||y|| at s = (+/-) 2^{-k}, k = 1..48.  Convexity makes the
+    quotients monotone, approaching rho_plus from above (side "+") or
+    rho_minus from below (side "-"); returns ||x|| ||y|| times the first
+    whose successive change drops below the unitless ``tol`` and raises
+    :class:`NoConvergence` if none does.  A zero x or y gives 0.0.
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
     x, y = _as_pair(x, y)
+    nx, ny = module_norm(x), module_norm(y)
+    if nx < _TINY or ny < _TINY:
+        return 0.0
+    u, w = x / nx, y / ny
     sign = 1.0 if side == "+" else -1.0
-    base = module_norm(x) ** 2
-    scale = tol * (1.0 + module_norm(x) * module_norm(y))
     prev = None
     for k in range(1, 49):
-        t = sign * 2.0 ** (-k)
-        q = (module_norm(x + t * y) ** 2 - base) / (2.0 * t)
-        if prev is not None and abs(q - prev) < scale:
-            return float(q)
+        s = sign * 2.0 ** (-k)
+        q = (module_norm(u + s * w) ** 2 - 1.0) / (2.0 * s)
+        if prev is not None and abs(q - prev) < tol:
+            return q * nx * ny
         prev = q
     raise NoConvergence(f"difference quotients did not settle within tol {tol:g}")

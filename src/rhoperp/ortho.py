@@ -24,6 +24,8 @@ raw numbers in ``data`` are unit-pair values times ||x|| ||y|| (twice for
 bj-strong), as plain products: past the double range they read inf.
 A zero x or y (norm below the smallest normal double) gives G = 0, so
 every relation holds, with a face state as witness where one is due.
+Each BJ witness is a rank-one face state (V z)(V z)*; for bj and bj-real,
+:func:`bhatia_semrl_witness` returns V z from the same decision.
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from .errors import PreconditionFailed
 from .hmodule import _unit, _unit_pair
 from .matcore import _finite, _norm, _spectrum, as_complex_matrix
 from .normderiv import _rho_extremes
-from .stateface import (_compress, _face_state, _numerical_radius, _reduce,
-                        _state, _top_face, _zero_in_numrange,
-                        _zero_quadratic_vector)
+from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
+                        _reduce, _top_face, _zero_in_numrange)
 
 DEFAULT_TOL = 1e-9
 
@@ -78,6 +79,26 @@ def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
                        data={"inner_product_norm": val * nx * ny})
 
 
+def _bj_decision(x, y, tol: float, real: bool):
+    """(face, margin, z, data) of bj or bj-real, shared with
+    :func:`bhatia_semrl_witness`: z is the unit face vector of the witness,
+    None when the relation fails; for bj the certificate of 0 in W(V* G V),
+    for bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
+    nx, ny, face, g = _reduce(x, y)
+    if real:
+        hi, z_hi, lo, z_lo, h = _rho_extremes(face, g)
+        margin = min(hi, -lo)
+        z = _carden_step(h, z_hi, z_lo, 0.0) if margin >= -tol else None
+        return face, margin, z, {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny}
+    res = _zero_in_numrange(_compress(face, g), tol)
+    data = {"support_min": res.margin * nx * ny}
+    if res.contains_zero:
+        data["certificate_residual"] = res.residual * nx * ny
+    else:
+        data["separating_angle"] = res.angle
+    return face, res.margin, res.vector, data
+
+
 def is_bj(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Birkhoff-James orthogonality: ||x|| <= ||x + c y|| for all complex c.
 
@@ -85,35 +106,23 @@ def is_bj(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     to the boundary of that range, in [-1, 1]; the decision allows tol/2
     of slack on either side, so the report's ``tol`` field is tol/2.
     """
-    nx, ny, face, g = _reduce(x, y)
-    res = _zero_in_numrange(_compress(face, g), tol)
-    data = {"support_min": res.margin * nx * ny}
-    if res.contains_zero:
-        data["certificate_residual"] = res.residual * nx * ny
-        return OrthoReport(Relation.BJ, True, res.margin, tol / 2.0,
-                           _face_state(face, res.vector), data)
-    data["separating_angle"] = res.angle
-    return OrthoReport(Relation.BJ, False, res.margin, tol / 2.0, None, data)
+    face, margin, z, data = _bj_decision(x, y, tol, real=False)
+    witness = None if z is None else _face_state(face, z)
+    return OrthoReport(Relation.BJ, z is not None, margin, tol / 2.0, witness, data)
 
 
 def is_bj_real(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Real-scalar Birkhoff-James orthogonality: rho_minus <= 0 <= rho_plus.
 
-    The margin is min(lambda_max, -lambda_min) of Re V* G V, in [-1, 1].
-    The witness mixes the two extreme states so that Re phi(<x, y>)
-    vanishes exactly for the combined state.
+    The margin is min(lambda_max, -lambda_min) of H = Re V* G V, in
+    [-1, 1].  The witness is the rank-one face state of one Carden step
+    between the extreme eigenvectors of H (the vector of
+    :func:`bhatia_semrl_witness`): Re phi(<x, y>) = 0 to rounding when the
+    spectrum of H straddles 0, else the end nearer 0.
     """
-    nx, ny, face, g = _reduce(x, y)
-    hi, w_hi, lo, w_lo = _rho_extremes(face, g)
-    margin = min(hi, -lo)
-    holds = margin >= -tol
-    witness = None
-    if holds:
-        span = hi - lo
-        lam = float(np.clip(hi / span, 0.0, 1.0)) if span > 0.0 else 0.0
-        witness = _state(lam * w_lo.density + (1.0 - lam) * w_hi.density)
-    return OrthoReport(Relation.BJ_REAL, holds, margin, tol, witness,
-                       data={"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
+    face, margin, z, data = _bj_decision(x, y, tol, real=True)
+    witness = None if z is None else _face_state(face, z)
+    return OrthoReport(Relation.BJ_REAL, z is not None, margin, tol, witness, data)
 
 
 def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
@@ -139,7 +148,7 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     The margin is -|lambda_max + lambda_min| of Re V* G V, in [-2, 0].
     """
     nx, ny, face, g = _reduce(x, y)
-    hi, _, lo, _ = _rho_extremes(face, g)
+    hi, _, lo, _, _ = _rho_extremes(face, g)
     margin = -abs(hi + lo)
     return OrthoReport(Relation.RHO, margin >= -tol, margin, tol,
                        data={"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
@@ -191,20 +200,13 @@ def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> 
     """Unit vector v with ||X v|| = ||X|| and [X v, Y v] = 0.
 
     For the real variant only Re [X v, Y v] = 0 is required and the
-    corresponding precondition is the real-scalar relation.  Both are
-    decided on the unit pair, as :func:`is_bj` and :func:`is_bj_real`
-    decide them.  Raises :class:`PreconditionFailed` when the relation
-    does not hold.
+    corresponding precondition is the real-scalar relation.  Both share
+    the decision and the vector of :func:`is_bj` and :func:`is_bj_real`:
+    v = V z for their witness z, and :class:`PreconditionFailed` is raised
+    exactly when that predicate reads false.
     """
-    _, _, face, g = _reduce(x, y)
-    comp = _compress(face, g)
-    if real:
-        z, val = _zero_quadratic_vector((comp + comp.conj().T) / 2.0)
-        if abs(val) > tol:
-            raise PreconditionFailed("real-scalar Birkhoff-James orthogonality does not hold")
-    else:
-        res = _zero_in_numrange(comp, tol)
-        if not res.contains_zero:
-            raise PreconditionFailed("Birkhoff-James orthogonality does not hold")
-        z = res.vector
+    face, _, z, _ = _bj_decision(x, y, tol, real)
+    if z is None:
+        raise PreconditionFailed(("real-scalar " if real else "")
+                                 + "Birkhoff-James orthogonality does not hold")
     return face.isometry @ z

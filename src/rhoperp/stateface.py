@@ -42,7 +42,8 @@ from scipy.linalg.lapack import zggev
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _unit, _unit_pair, inner_product
-from .matcore import _norm, _spectrum, as_complex_matrix, operator_norm
+from .matcore import (HERMITIAN_DRIFT_TOL, _finite, _norm, _spectrum,
+                      as_complex_matrix, operator_norm)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -51,6 +52,9 @@ _UNIMODULAR_TOL = 1e-3
 
 # Boundary points added to the certificate's inner polygon before it stops.
 _CERTIFICATE_ROUNDS = 32
+
+# Relative cut below lambda_max(<x, x>) that still joins the top face.
+_FACE_GAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,7 +90,7 @@ class StateWitness:
         d = as_complex_matrix(self.density)
         if d.shape[0] != d.shape[1]:
             raise ShapeMismatch(f"density of shape {d.shape} is not square")
-        if operator_norm(d - d.conj().T) > 1e-10 * (1.0 + operator_norm(d)):
+        if operator_norm(d - d.conj().T) > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(d)):
             raise ValueError("density must be Hermitian")
         eigs = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
         if eigs[0] < -1e-10:
@@ -103,7 +107,7 @@ def _check_trace(d: np.ndarray) -> None:
 
 def _state(d: np.ndarray) -> StateWitness:
     """StateWitness for a density Hermitian and positive by construction
-    (mixtures of (Vz)(Vz)*); only the trace is checked."""
+    ((Vz)(Vz)* or I/n); only the trace is checked."""
     _check_trace(d)
     p = object.__new__(StateWitness)
     object.__setattr__(p, "density", d)
@@ -121,7 +125,7 @@ def maximally_mixed(n: int) -> StateWitness:
     return _state(np.eye(n, dtype=np.complex128) / n)
 
 
-def top_face(x, gap_tol: float = 1e-10) -> TopFace:
+def top_face(x, gap_tol: float = _FACE_GAP_TOL) -> TopFace:
     """Top eigenspace of <x, x> as an isometry, for a nonzero element.
 
     Eigenvalues within ``gap_tol`` (relative) of the largest join the
@@ -139,7 +143,7 @@ def top_face(x, gap_tol: float = 1e-10) -> TopFace:
     return replace(face, lambda_max=face.lambda_max * n2, gap=face.gap * n2)
 
 
-def _top_face(gram: np.ndarray, gap_tol: float = 1e-10) -> TopFace:
+def _top_face(gram: np.ndarray, gap_tol: float = _FACE_GAP_TOL) -> TopFace:
     """Top face of a Gram matrix <x, x>; the zero Gram matrix gives the
     whole space."""
     spec = _spectrum(gram)
@@ -174,10 +178,10 @@ def state_value(p: StateWitness, a) -> complex:
 def face_compression(face: TopFace, a) -> np.ndarray:
     """Compression V* a V of an algebra element to the face (k-by-k)."""
     a = as_complex_matrix(a)
-    v = face.isometry
-    if a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
-        raise ShapeMismatch(f"algebra element {a.shape} vs face on dimension {v.shape[0]}")
-    return v.conj().T @ a @ v
+    n = face.isometry.shape[0]
+    if a.shape != (n, n):
+        raise ShapeMismatch(f"algebra element {a.shape} vs face on dimension {n}")
+    return _compress(face, a)
 
 
 def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
@@ -198,11 +202,10 @@ def state_from_face_vector(face: TopFace, zeta) -> StateWitness:
     z = np.asarray(zeta, dtype=np.complex128).reshape(-1)
     if z.shape[0] != face.dim:
         raise ShapeMismatch(f"vector of length {z.shape[0]} vs face dimension {face.dim}")
-    nrm = float(np.linalg.norm(z))
+    nrm = float(np.linalg.norm(_finite(z)))
     if abs(nrm - 1.0) > 1e-10:
         raise NotUnitVector(f"vector has norm {nrm!r}")
-    w = face.isometry @ z
-    return StateWitness(np.outer(w, w.conj()))
+    return _face_state(face, z)
 
 
 def cauchy_schwarz_gap(p: StateWitness, x, y) -> float:
@@ -330,23 +333,6 @@ def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 def _quad_form(m: np.ndarray, z: np.ndarray) -> complex:
     return complex(z.conj() @ m @ z)
-
-
-def _zero_quadratic_vector(c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit z minimizing |z* C z| for Hermitian C; exact zero when the
-    spectrum straddles 0 (mix the extreme eigenvectors)."""
-    vals, vecs = np.linalg.eigh(c)
-    lo, hi = float(vals[0]), float(vals[-1])
-    if lo > 0.0:
-        return vecs[:, 0], lo
-    if hi < 0.0:
-        return vecs[:, -1], hi
-    if hi - lo == 0.0:
-        return vecs[:, -1], hi
-    # cos^2 s * hi + sin^2 s * lo = 0
-    s = np.arctan2(np.sqrt(hi), np.sqrt(-lo))
-    z = np.cos(s) * vecs[:, -1] + np.sin(s) * vecs[:, 0]
-    return z / np.linalg.norm(z), 0.0
 
 
 def _cross(u: complex, w: complex) -> float:

@@ -85,7 +85,7 @@ def test_face_operations_reject_nonfinite_entries():
         top_face(_with_nan(x))
     with pytest.raises(ValueError):
         face_compression(face, _with_nan(np.eye(3)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="finite"):
         state_from_face_vector(face, np.array([np.nan]))
     with pytest.raises(ValueError):
         zero_in_numrange(_with_nan(np.eye(3)))
@@ -114,6 +114,47 @@ def test_generic_call_makes_no_redundant_lapack_work(op, lapack_calls):
     assert lapack_calls["svd"] <= 3
     assert lapack_calls["eigh"] <= 2
     assert lapack_calls["eigvalsh"] == 0
+
+
+def _two_dim_face_bj_pair():
+    """x with a 2-dim top face V and y = x V B V*, tr B = 0: 0 lies inside
+    W(B), so every Birkhoff-James relation holds."""
+    x = random_degenerate_element(np.random.default_rng(49), 4, 4, multiplicity=2)
+    v = top_face(x).isometry
+    assert v.shape[1] == 2
+    return x, x @ v @ np.array([[1.0, 2.0], [0.5j, -1.0]]) @ v.conj().T
+
+
+def _assert_two_dim_face_caps(counts):
+    """The face and one compression spectrum unbatched; the support search's
+    batched calls are bounded through its pencil solves."""
+    assert counts["svd"] <= 3
+    assert counts["eigh"] + counts["eigvalsh"] - counts["batched"] <= 2
+    assert counts["pencil"] <= 6
+
+
+@pytest.mark.parametrize("op", PAIR_OPS[:-1], ids=lambda f: f.__name__)
+def test_two_dim_face_makes_no_redundant_lapack_work(op, lapack_calls):
+    x, y = _two_dim_face_bj_pair()
+    lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+    op(x, y)
+    _assert_two_dim_face_caps(lapack_calls)
+
+
+@pytest.mark.parametrize("real", (False, True))
+def test_bhatia_semrl_witness_makes_no_redundant_lapack_work(real, lapack_calls):
+    x, y = bj_orthogonal_pair(np.random.default_rng(48), 4, 4)
+    assert top_face(x).dim == 1
+    lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+    bhatia_semrl_witness(x, y, real=real)
+    assert lapack_calls["svd"] <= 3
+    assert lapack_calls["eigh"] <= 2
+    assert lapack_calls["eigvalsh"] == 0
+    assert lapack_calls["batched"] == 0
+    x, y = _two_dim_face_bj_pair()
+    lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+    bhatia_semrl_witness(x, y, real=real)
+    _assert_two_dim_face_caps(lapack_calls)
 
 
 def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rhoperp import module_norm
 from rhoperp.cli import load_matrix, main, matrix_payload, save_matrix
 from rhoperp.verify import incomparability_triple, random_element
 
@@ -60,6 +61,21 @@ def test_rho_command_with_oracle(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle"]["max_abs_difference"] <= doc["oracle"]["tolerance"]
+
+
+def test_rho_command_oracle_exit_code_follows_tol(tmp_path, capsys):
+    rng = np.random.default_rng(63)
+    x, y = random_element(rng, 3, 3), random_element(rng, 3, 3)
+    # the bound is tol ||x|| ||y||, so it holds at any scale of x and y
+    args = ["rho", "--x", _write(tmp_path, "x.json", 1e-100 * x),
+            "--y", _write(tmp_path, "y.json", y), "--oracle"]
+    assert main(args) == 0
+    diff = json.loads(capsys.readouterr().out)["oracle"]["max_abs_difference"]
+    assert 0.0 < diff <= 1e-5 * 1e-100 * module_norm(x) * module_norm(y)
+    assert main(args + ["--tol", "1e-12"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle"]["tolerance"] == 1e-12
+    assert doc["oracle"]["max_abs_difference"] == diff
 
 
 def test_ortho_command_exit_codes(tmp_path, capsys):

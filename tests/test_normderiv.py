@@ -86,15 +86,31 @@ def test_fd_brackets_closed_form():
         assert rho_fd(x, y, "-") <= pair.rho_minus + fuzz
 
 
+@pytest.mark.filterwarnings("error")
 def test_fd_agrees_with_closed_form_sweep():
     rng = np.random.default_rng(25)
+    cases = []
     for _ in range(200):
         m, n = rng.integers(1, 7, size=2)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
+        cases.append((random_element(rng, m, n), random_element(rng, m, n), 1.0, 1.0))
+    # the quotients are taken on the unit pair: (c x, d y) gives c d times
+    # the value at (x, y) across the double range
+    x, y = random_element(rng, 3, 3), random_element(rng, 3, 3)
+    cases += [(x, y, c, d) for c, d in ((1.0, 1.0), (1e-100, 1.0), (1.0, 1e-100),
+                                        (1e100, 1.0), (1e150, 1e-150), (1e160, 1.0),
+                                        (1e-300, 1.0), (1e300, 1e-300), (1e-150, 1e150))]
+    for x, y, c, d in cases:
         pair = rho_pair(x, y)
         tol = 1e-5 * (1.0 + module_norm(x) * module_norm(y))
-        assert abs(rho_fd(x, y, "+") - pair.rho_plus) <= tol
-        assert abs(rho_fd(x, y, "-") - pair.rho_minus) <= tol
+        assert abs(rho_fd(c * x, d * y, "+") / (c * d) - pair.rho_plus) <= tol
+        assert abs(rho_fd(c * x, d * y, "-") / (c * d) - pair.rho_minus) <= tol
+
+
+def test_fd_of_zero_element_is_zero():
+    y = random_element(np.random.default_rng(27), 3, 2)
+    for side in ("+", "-"):
+        assert rho_fd(np.zeros((3, 2)), y, side) == 0.0
+        assert rho_fd(y, 1e-310 * y, side) == 0.0
 
 
 def test_fd_rejects_bad_side():

@@ -7,7 +7,7 @@ from rhoperp import (PreconditionFailed, StateWitness, bhatia_semrl_witness,
                      inner_product, is_bj, is_bj_real, is_bj_strong,
                      is_ip_orthogonal, is_norm_parallel, is_rho_orthogonal,
                      m_lower_bound, module_action, module_norm, rho_pair,
-                     state_value)
+                     state_value, top_face)
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
                             random_element)
@@ -117,6 +117,22 @@ PREDICATES = (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong, is_rho_orthogon
               is_norm_parallel)
 
 
+def _face_pairs(rng, k, count):
+    """Pairs (x, y) whose x has a k-dim top face V: y generic, y near 2x
+    (no BJ relation holds), and y = x V B V* with tr B = 0, which puts 0 in
+    W(V* <x, y> V) and makes every BJ relation hold."""
+    pairs = []
+    for _ in range(count):
+        x = random_degenerate_element(rng, k + 1, k + 1, k)
+        v = top_face(x).isometry
+        b = random_element(rng, k, k)
+        b -= np.trace(b) / k * np.eye(k)
+        pairs += [(x, random_element(rng, k + 1, k + 1)),
+                  (x, 2.0 * x + 0.3 * random_element(rng, k + 1, k + 1)),
+                  (x, x @ v @ b @ v.conj().T)]
+    return pairs
+
+
 def _check_bhatia_vector(v, x, y, real):
     """v is a unit vector in the top face of x with [x v, y v] = 0 (its
     real part for ``real``), relative to ||x|| ||y||."""
@@ -138,6 +154,7 @@ def test_verdicts_invariant_under_extreme_scales():
         pairs += [(x, random_element(rng, m, n)), (x, c * x)]
     pairs += [bj_orthogonal_pair(rng, 3, 3), bj_orthogonal_pair(rng, 4, 2),
               inner_orthogonal_pair(rng, 4, 3), (T, S), (T, R)]
+    pairs += _face_pairs(rng, 2, 1)
     scales = (1e-150, 1e-5, 1.0, 1e80, 1e160)
     for x, y in pairs:
         base = {pred: pred(x, y) for pred in PREDICATES}
@@ -227,10 +244,45 @@ def test_bj_witness_annihilates_inner_product():
         assert abs(state_value(rep.witness, gram).real - n2) <= 1e-8 * (1.0 + n2)
 
 
-def test_bj_real_witness_mixes_to_zero_real_part():
-    rep = is_bj_real(T, R)
-    assert rep.holds
-    assert abs(state_value(rep.witness, inner_product(T, R)).real) <= 1e-9
+def test_bj_real_witness_has_zero_real_part():
+    # where Re V* G V straddles 0, the witness and the real Bhatia-Semrl
+    # vector come from one Carden step and vanish to rounding
+    rng = np.random.default_rng(19)
+    pairs = [(T, R)] + [p for k in (2, 3, 4) for p in _face_pairs(rng, k, 4)]
+    straddling = 0
+    for x, y in pairs:
+        pair = rho_pair(x, y)
+        if not pair.rho_minus <= 0.0 <= pair.rho_plus:
+            continue
+        straddling += 1
+        bound = 1e-12 * module_norm(x) * module_norm(y)
+        rep = is_bj_real(x, y)
+        assert rep.holds
+        assert abs(state_value(rep.witness, inner_product(x, y)).real) <= bound
+        v = bhatia_semrl_witness(x, y, real=True)
+        _check_bhatia_vector(v, x, y, real=True)
+        assert abs(((x @ v).conj() @ (y @ v)).real) <= bound
+    assert straddling >= 12
+
+
+def test_bhatia_semrl_witness_raises_iff_predicate_reads_false():
+    rng = np.random.default_rng(20)
+    failing = 0
+    for k in (2, 3, 4):
+        for x, y in _face_pairs(rng, k, 3):
+            for real, pred in ((False, is_bj), (True, is_bj_real)):
+                # the tol at which the report's tol (tol/2 for bj) is |margin|
+                scale = abs(pred(x, y).margin) * (2.0 if pred is is_bj else 1.0)
+                for tol in (scale * (1.0 + 1e-6), scale * (1.0 - 1e-6)):
+                    holds = pred(x, y, tol).holds
+                    failing += not holds
+                    try:
+                        bhatia_semrl_witness(x, y, tol, real=real)
+                    except PreconditionFailed:
+                        assert not holds
+                    else:
+                        assert holds
+    assert failing >= 10
 
 
 def test_bj_strong_witness_annihilates_positive_element():
