@@ -175,7 +175,7 @@ def _cmd_daugavet(args) -> int:
     except InvalidScalars as exc:
         print(json.dumps({"error": str(exc)}))
         return 2
-    cube = rho_cube_identity(x)
+    cube = rho_cube_identity(x, tol=args.tol)
     report = {
         "module": {
             "alpha": mod.alpha, "beta": mod.beta, "lhs": mod.lhs, "rhs": mod.rhs,
@@ -191,7 +191,7 @@ def _cmd_daugavet(args) -> int:
     }
     ok = mod.within_tol and cube.within_tol
     try:
-        op = operator_daugavet_witness(x)
+        op = operator_daugavet_witness(x, tol=args.tol)
         report["operator"] = {
             "vector": [_complex_payload(complex(v)) for v in op.vector],
             "norm": op.norm_t, "cube_norm": op.norm_cube, "sum_norm": op.sum_norm,
@@ -248,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dg.add_argument("--x", required=True)
     p_dg.add_argument("--alpha", type=float, default=1.0)
     p_dg.add_argument("--beta", type=float, default=1.0)
-    p_dg.add_argument("--tol", type=float, default=1e-9)
+    p_dg.add_argument("--tol", type=float, default=1e-9, help="relative tolerance of every check")
     p_dg.add_argument("--json-out")
     p_dg.set_defaults(func=_cmd_daugavet)
 

@@ -84,7 +84,7 @@ def hermitian_spectrum(h, drift_tol: float = HERMITIAN_DRIFT_TOL) -> HermitianSp
 def _spectrum(m: np.ndarray) -> HermitianSpectrum:
     """Spectrum of the Hermitian part (m + m*)/2, without the drift check
     of :func:`hermitian_spectrum`: for matrices Hermitian by construction
-    (x* x, V* G G* V) up to rounding, and for Re V* G V."""
+    (x* x) up to rounding, and for Re V* G V."""
     sym = (m + m.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     # stable so that degenerate blocks keep the factorization's basis order

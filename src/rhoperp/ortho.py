@@ -3,9 +3,9 @@
 Every relation is homogeneous in x and in y, so each predicate decides
 on the unit pair u = x/||x||, w = y/||y||: with V the top face of <u, u>
 and G = <u, w> (so ||G|| <= 1), it returns an :class:`OrthoReport`
-carrying the boolean, a unitless signed margin read off V and G, the
-effective threshold (``holds == (margin >= -tol)``), and a witness when
-the relation holds:
+carrying the boolean, a signed margin (a distance on the unit pair,
+linear in G), ``tol``, and a witness when the relation holds.  One rule,
+:func:`_report`, decides all six: ``holds == (margin >= -tol)``.
 
 =========  ===========================================  ==============================
 relation   margin                                       witness when it holds
@@ -14,14 +14,18 @@ ip         -||G||                                       --
 bj         min_t lambda_max(Re(e^{it} V* G V)), the     state annihilating <x, y>
            signed distance from 0 to W(V* G V)
 bj-real    min(lambda_max, -lambda_min) of Re V* G V    state with Re phi(<x, y>) = 0
-bj-strong  -lambda_min(V* G G* V)                       state annihilating <x,y><y,x>
-rho        -|lambda_max + lambda_min| of Re V* G V      --
+bj-strong  -sigma_min(G* V)                             state annihilating <x,y><y,x>
+rho        -|lambda_max + lambda_min|/2 of Re V* G V    --
 parallel   w(V* G V) - 1                                the maximizing unit xi
 =========  ===========================================  ==============================
 
-So no verdict changes when (x, y) becomes (c x, d y), c, d nonzero.  The
-raw numbers in ``data`` are unit-pair values times ||x|| ||y|| (twice for
-bj-strong), as plain products: past the double range they read inf.
+As |z* V* G V z| <= ||G* V z|| <= ||G|| (z unit), the support minimum is at
+most min(lambda_max, -lambda_min) and |lambda_max + lambda_min|/2 <= ||G||,
+m_ip <= m_strong <= m_bj <= m_real and m_ip <= m_rho <= m_real: at one tol,
+ip => bj-strong => bj => bj-real and ip => rho => bj-real.  No verdict
+changes when (x, y) becomes (c x, d y), c, d nonzero.  The raw numbers in
+``data`` are unit-pair values times ||x|| ||y|| (twice for bj-strong), as
+plain products: past the double range they read inf.
 A zero x or y (norm below the smallest normal double) gives G = 0, so
 every relation holds, with a face state as witness where one is due.
 Each BJ witness is a rank-one face state (V z)(V z)*; for bj and bj-real,
@@ -71,44 +75,49 @@ class OrthoReport:
     data: dict = field(default_factory=dict)
 
 
+def _report(relation: Relation, margin: float, tol: float, data: dict,
+            witness=lambda: None) -> OrthoReport:
+    """The one rule of the six relations, ``holds == (margin >= -tol)``;
+    ``witness()`` is built only when the relation holds, else None."""
+    holds = margin >= -tol
+    return OrthoReport(relation, holds, margin, tol, witness() if holds else None, data)
+
+
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||."""
     nx, ny, u, w = _unit_pair(x, y)
     val = _norm(u.conj().T @ w)
-    return OrthoReport(Relation.IP, -val >= -tol, -val, tol,
-                       data={"inner_product_norm": val * nx * ny})
+    return _report(Relation.IP, -val, tol, {"inner_product_norm": val * nx * ny})
 
 
 def _bj_decision(x, y, tol: float, real: bool):
     """(face, margin, z, data) of bj or bj-real, shared with
-    :func:`bhatia_semrl_witness`: z is the unit face vector of the witness,
-    None when the relation fails; for bj the certificate of 0 in W(V* G V),
-    for bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
+    :func:`bhatia_semrl_witness`: z() is the unit face vector of the
+    witness; for bj the certificate of 0 in W(V* G V) at slack tol, for
+    bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
     nx, ny, face, g = _reduce(x, y)
     if real:
         hi, z_hi, lo, z_lo, h = _rho_extremes(face, g)
-        margin = min(hi, -lo)
-        z = _carden_step(h, z_hi, z_lo, 0.0) if margin >= -tol else None
-        return face, margin, z, {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny}
+        return (face, min(hi, -lo), lambda: _carden_step(h, z_hi, z_lo, 0.0),
+                {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
     res = _zero_in_numrange(_compress(face, g), tol)
     data = {"support_min": res.margin * nx * ny}
     if res.contains_zero:
         data["certificate_residual"] = res.residual * nx * ny
     else:
         data["separating_angle"] = res.angle
-    return face, res.margin, res.vector, data
+    return face, res.margin, lambda: res.vector, data
 
 
 def is_bj(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Birkhoff-James orthogonality: ||x|| <= ||x + c y|| for all complex c.
 
     Decided as 0 in W(V* G V).  The margin is the signed distance from 0
-    to the boundary of that range, in [-1, 1]; the decision allows tol/2
-    of slack on either side, so the report's ``tol`` field is tol/2.
+    to the boundary of that range, in [-1, 1]; the witness's certificate
+    achieves |z* V* G V z| <= 2 tol.
     """
     face, margin, z, data = _bj_decision(x, y, tol, real=False)
-    witness = None if z is None else _face_state(face, z)
-    return OrthoReport(Relation.BJ, z is not None, margin, tol / 2.0, witness, data)
+    return _report(Relation.BJ, margin, tol, data, lambda: _face_state(face, z()))
 
 
 def is_bj_real(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
@@ -121,37 +130,33 @@ def is_bj_real(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     spectrum of H straddles 0, else the end nearer 0.
     """
     face, margin, z, data = _bj_decision(x, y, tol, real=True)
-    witness = None if z is None else _face_state(face, z)
-    return OrthoReport(Relation.BJ_REAL, z is not None, margin, tol, witness, data)
+    return _report(Relation.BJ_REAL, margin, tol, data, lambda: _face_state(face, z()))
 
 
 def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Strong Birkhoff-James orthogonality: ||x|| <= ||x + y a|| for all a.
 
-    Holds iff some face state annihilates the positive element
-    <x, y><y, x>, i.e. iff lambda_min of its face compression vanishes.
-    The margin is -lambda_min(V* G G* V), in [-1, 0].
+    Holds iff some face state annihilates <x, y><y, x>, i.e. iff G* V z = 0
+    for a unit z.  The margin is -sigma_min(G* V), in [-1, 0], from one SVD
+    of the n-by-k G* V; the witness is the state of its right singular vector.
     """
     nx, ny, face, g = _reduce(x, y)
-    spec = _spectrum(_compress(face, g @ g.conj().T))
-    lam_min = float(spec.eigenvalues[-1])
-    margin = -lam_min
-    holds = margin >= -tol
-    witness = _face_state(face, spec.eigenvectors[:, -1]) if holds else None
-    return OrthoReport(Relation.BJ_STRONG, holds, margin, tol, witness,
-                       data={"annihilation_value": lam_min * nx * ny * nx * ny})
+    _, svals, vh = np.linalg.svd(g.conj().T @ face.isometry, full_matrices=False)
+    sigma = float(svals[-1])
+    return _report(Relation.BJ_STRONG, -sigma, tol,
+                   {"annihilation_value": sigma * sigma * nx * ny * nx * ny},
+                   lambda: _face_state(face, vh[-1].conj()))
 
 
 def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """rho-orthogonality: rho_plus(x, y) + rho_minus(x, y) = 0.
 
-    The margin is -|lambda_max + lambda_min| of Re V* G V, in [-2, 0].
+    The margin is -|lambda_max + lambda_min|/2 of Re V* G V, in [-1, 0].
     """
     nx, ny, face, g = _reduce(x, y)
     hi, _, lo, _, _ = _rho_extremes(face, g)
-    margin = -abs(hi + lo)
-    return OrthoReport(Relation.RHO, margin >= -tol, margin, tol,
-                       data={"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
+    return _report(Relation.RHO, -abs(hi + lo) / 2.0, tol,
+                   {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
 
 
 def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
@@ -171,20 +176,18 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """
     nx, ny, u, w = _unit_pair(x, y)
     if nx == 0.0 or ny == 0.0:
-        return OrthoReport(Relation.PARALLEL, True, 0.0, tol, witness=1.0 + 0.0j,
-                           data={"max_norm": nx + ny, "angle": 0.0})
+        return _report(Relation.PARALLEL, 0.0, tol, {"max_norm": nx + ny, "angle": 0.0},
+                       lambda: 1.0 + 0.0j)
     face = _top_face(u.conj().T @ u)
     comp = _compress(face, u.conj().T @ w)
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)
     xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j
-    margin = radius - 1.0
-    holds = margin >= -tol
-    return OrthoReport(Relation.PARALLEL, holds, margin, tol,
-                       witness=xi if holds else None,
-                       data={"max_norm": _norm(_finite(nx * u + xi * ny * w)),
-                             "angle": float(np.angle(xi) % (2.0 * np.pi)),
-                             "numerical_radius": radius, "face_dim": face.dim})
+    return _report(Relation.PARALLEL, radius - 1.0, tol,
+                   {"max_norm": _norm(_finite(nx * u + xi * ny * w)),
+                    "angle": float(np.angle(xi) % (2.0 * np.pi)),
+                    "numerical_radius": radius, "face_dim": face.dim},
+                   lambda: xi)
 
 
 def m_lower_bound(y) -> float:
@@ -205,8 +208,9 @@ def bhatia_semrl_witness(x, y, tol: float = DEFAULT_TOL, real: bool = False) -> 
     v = V z for their witness z, and :class:`PreconditionFailed` is raised
     exactly when that predicate reads false.
     """
-    face, _, z, _ = _bj_decision(x, y, tol, real)
-    if z is None:
+    face, margin, z, data = _bj_decision(x, y, tol, real)
+    rep = _report(Relation.BJ_REAL if real else Relation.BJ, margin, tol, data, z)
+    if not rep.holds:
         raise PreconditionFailed(("real-scalar " if real else "")
                                  + "Birkhoff-James orthogonality does not hold")
-    return face.isometry @ z
+    return face.isometry @ rep.witness

@@ -457,16 +457,16 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
         raise ShapeMismatch(f"matrix of shape {m.shape} is not square")
     nm = _norm(m)
     s = math.ldexp(1.0, math.frexp(nm)[1])
-    res = _zero_in_numrange(m / s, tol * (1.0 + nm) / s)
+    res = _zero_in_numrange(m / s, 0.5 * tol * (1.0 + nm) / s)
     residual = None if res.residual is None else res.residual * s
     return replace(res, margin=res.margin * s, residual=residual)
 
 
-def _zero_in_numrange(m: np.ndarray, tol_abs: float) -> NumRangeCertificate:
-    """:func:`zero_in_numrange` at absolute slack ``tol_abs``."""
+def _zero_in_numrange(m: np.ndarray, slack: float) -> NumRangeCertificate:
+    """0 in W(M) iff min_t g(t) >= -slack; a member gets |z* M z| <= 2 slack."""
     theta_star, g_star = _minimize_support(m)
-    if g_star < -0.5 * tol_abs:
+    if g_star < -slack:
         return NumRangeCertificate(False, margin=g_star, vector=None,
                                    angle=theta_star, residual=None)
-    z, r = _zero_certificate(m, theta_star, tol_abs)
+    z, r = _zero_certificate(m, theta_star, 2.0 * slack)
     return NumRangeCertificate(True, margin=g_star, vector=z, angle=None, residual=r)

@@ -157,6 +157,17 @@ def test_bhatia_semrl_witness_makes_no_redundant_lapack_work(real, lapack_calls)
     _assert_two_dim_face_caps(lapack_calls)
 
 
+def test_bj_strong_takes_one_svd_beyond_the_face(lapack_calls):
+    # the two norms, the face, and sigma_min(G* V) by SVD: no eigh of the
+    # compressed Gram product V* G G* V
+    rng = np.random.default_rng(50)
+    for x, y in ((random_element(rng, 4, 4), random_element(rng, 4, 4)),
+                 _two_dim_face_bj_pair()):
+        lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+        is_bj_strong(x, y)
+        assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (3, 1, 0)
+
+
 def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
     x = random_element(np.random.default_rng(46), 4, 4)
     for f in LAPACK:

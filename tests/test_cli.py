@@ -137,6 +137,14 @@ def test_daugavet_command(tmp_path, capsys):
     assert abs(abs(complex(*doc["operator"]["vector"][0])) - 1.0) <= 1e-12
 
 
+def test_daugavet_command_tol_reaches_every_check(tmp_path, capsys):
+    x = _write(tmp_path, "x.json", random_element(np.random.default_rng(1), 3, 3))
+    assert main(["daugavet", "--x", x, "--tol", "1e-30"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    for section in ("module", "cube_identity", "operator"):
+        assert doc[section]["tol"] == 1e-30
+
+
 def test_daugavet_command_zero_matrix(tmp_path, capsys):
     x = _write(tmp_path, "x.json", np.zeros((2, 2)))
     assert main(["daugavet", "--x", x]) == 0

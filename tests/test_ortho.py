@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhoperp import (PreconditionFailed, StateWitness, bhatia_semrl_witness,
                      inner_product, is_bj, is_bj_real, is_bj_strong,
                      is_ip_orthogonal, is_norm_parallel, is_rho_orthogonal,
                      m_lower_bound, module_action, module_norm, rho_pair,
                      state_value, top_face)
-from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
+from rhoperp.verify import (CHAIN_EDGES, CHAIN_PREDICATES, CHAIN_SLACK,
+                            bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
                             random_element)
 
@@ -225,8 +228,8 @@ def test_reports_expose_consistent_margins():
             x, y = random_element(rng, m, n), random_element(rng, m, n)
         for pred in (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong,
                      is_rho_orthogonal, is_norm_parallel):
-            rep = pred(x, y)
-            assert rep.holds == (rep.margin >= -rep.tol)
+            rep = pred(x, y, 2e-9)
+            assert rep.tol == 2e-9 and rep.holds == (rep.margin >= -rep.tol)
             if rep.relation.value in ("bj", "bj-real", "bj-strong", "parallel") and rep.holds:
                 assert rep.witness is not None
 
@@ -271,8 +274,7 @@ def test_bhatia_semrl_witness_raises_iff_predicate_reads_false():
     for k in (2, 3, 4):
         for x, y in _face_pairs(rng, k, 3):
             for real, pred in ((False, is_bj), (True, is_bj_real)):
-                # the tol at which the report's tol (tol/2 for bj) is |margin|
-                scale = abs(pred(x, y).margin) * (2.0 if pred is is_bj else 1.0)
+                scale = abs(pred(x, y).margin)
                 for tol in (scale * (1.0 + 1e-6), scale * (1.0 - 1e-6)):
                     holds = pred(x, y, tol).holds
                     failing += not holds
@@ -359,13 +361,48 @@ def test_implication_chains():
         else:
             pairs.append((random_element(rng, m, n), random_element(rng, m, n)))
     for x, y in pairs:
-        if is_ip_orthogonal(x, y, t).holds:
-            assert is_bj_strong(x, y, 10 * t).holds
-            assert is_rho_orthogonal(x, y, 10 * t).holds
-        if is_bj_strong(x, y, t).holds:
-            assert is_bj_real(x, y, 10 * t).holds
-        if is_rho_orthogonal(x, y, t).holds:
-            assert is_bj_real(x, y, 10 * t).holds
+        _assert_chains(x, y, t)
+
+
+def _assert_chains(x, y, tol):
+    """Each stronger relation's margin is at most the weaker one's, and
+    every implication of the chains holds at the one ``tol``."""
+    reps = {pred: pred(x, y, tol) for pred in CHAIN_PREDICATES}
+    assert all(rep.tol == tol and rep.holds == (rep.margin >= -tol) for rep in reps.values())
+    for strong, weak in CHAIN_EDGES:
+        assert reps[strong].margin <= reps[weak].margin + CHAIN_SLACK, (strong, weak)
+        assert reps[weak].holds or not reps[strong].holds, (strong, weak)
+
+
+def test_implication_chains_hold_at_the_default_tol():
+    # sigma_min(G* V) = 3e-5 = the bj distance; its square, 9e-10, is below tol
+    x, y = np.eye(2), np.diag([3e-5, 1.0])
+    assert not is_bj_strong(x, y).holds
+    assert is_bj_strong(x, y).margin == pytest.approx(-3e-5, rel=1e-12)
+    _assert_chains(x, y, 1e-9)
+    # every margin is -d, with rho_plus + rho_minus = 2d: bj and rho hold at
+    # tol only when both decide at tol on the unit scale
+    d = 8e-10
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    y = np.array([[d, 0.0], [0.0, d], [1.0, 0.0]])
+    for pred in CHAIN_PREDICATES:
+        rep = pred(x, y)
+        assert rep.holds and rep.margin == pytest.approx(-d, rel=1e-6), pred.__name__
+    _assert_chains(x, y, 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), n=st.integers(2, 6),
+       ip=st.booleans(), exponent=st.floats(-12.0, -4.0))
+def test_margin_order_near_orthogonal_pairs(seed, m, n, ip, exponent):
+    # a pair orthogonal by construction, moved off by 10^exponent ||y||; the
+    # tol of the same size puts the verdicts near the decision boundary
+    rng = np.random.default_rng(seed)
+    x, y = (inner_orthogonal_pair if ip else bj_orthogonal_pair)(rng, m, n)
+    z = random_element(rng, m, n)
+    y = y + 10.0 ** exponent * module_norm(y) / module_norm(z) * z
+    for tol in (1e-9, 10.0 ** exponent):
+        _assert_chains(x, y, tol)
 
 
 def test_incomparability_of_rho_and_strong():
