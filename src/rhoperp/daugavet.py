@@ -144,7 +144,7 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     ||T||^3 (||T T* T||).
     """
     t = as_complex_matrix(t)
-    _, svals, vh = np.linalg.svd(t)
+    _, svals, vh = np.linalg.svd(t, full_matrices=False)
     nt = float(svals[0])
     if nt < _TINY:
         raise ZeroOperator("witness undefined for the zero operator")

@@ -64,20 +64,19 @@ class HermitianSpectrum:
     eigenvectors: np.ndarray
 
 
-def hermitian_spectrum(h, drift_tol: float = HERMITIAN_DRIFT_TOL) -> HermitianSpectrum:
+def hermitian_spectrum(h) -> HermitianSpectrum:
     """Spectral decomposition of a (numerically) Hermitian matrix.
 
-    Drift up to ``drift_tol`` relative is silently symmetrized away;
-    anything beyond raises :class:`NonHermitianInput`.
+    Drift up to ``HERMITIAN_DRIFT_TOL`` relative is silently symmetrized
+    away; anything beyond raises :class:`NonHermitianInput`.
     """
     m = as_complex_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix of shape {m.shape} is not square")
     drift = operator_norm(m - m.conj().T)
-    if drift > drift_tol * (1.0 + operator_norm(m)):
-        raise NonHermitianInput(
-            f"matrix deviates from Hermitian by {drift:.3e} (relative tol {drift_tol:.1e})"
-        )
+    if drift > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(m)):
+        raise NonHermitianInput(f"matrix deviates from Hermitian by {drift:.3e} "
+                                f"(relative tol {HERMITIAN_DRIFT_TOL:.1e})")
     return _spectrum(m)
 
 

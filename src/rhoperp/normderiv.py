@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoConvergence
-from .hmodule import _as_pair, module_norm
-from .matcore import _TINY, _spectrum
+from .hmodule import _unit_pair
+from .matcore import _norm, _spectrum
 from .stateface import StateWitness, _compress, _face_state, _reduce
 
 
@@ -81,16 +81,14 @@ def rho_fd(x, y, side: str = "+", tol: float = 1e-6) -> float:
     """
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    x, y = _as_pair(x, y)
-    nx, ny = module_norm(x), module_norm(y)
-    if nx < _TINY or ny < _TINY:
+    nx, ny, u, w = _unit_pair(x, y)
+    if nx == 0.0 or ny == 0.0:
         return 0.0
-    u, w = x / nx, y / ny
     sign = 1.0 if side == "+" else -1.0
     prev = None
     for k in range(1, 49):
         s = sign * 2.0 ** (-k)
-        q = (module_norm(u + s * w) ** 2 - 1.0) / (2.0 * s)
+        q = (_norm(u + s * w) ** 2 - 1.0) / (2.0 * s)
         if prev is not None and abs(q - prev) < tol:
             return q * nx * ny
         prev = q

@@ -125,36 +125,36 @@ def maximally_mixed(n: int) -> StateWitness:
     return _state(np.eye(n, dtype=np.complex128) / n)
 
 
-def top_face(x, gap_tol: float = _FACE_GAP_TOL) -> TopFace:
+def top_face(x) -> TopFace:
     """Top eigenspace of <x, x> as an isometry, for a nonzero element.
 
-    Eigenvalues within ``gap_tol`` (relative) of the largest join the
-    face.  Raises :class:`ZeroElement` only for the zero element, an x
-    whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).  It is
-    the face of u = x/||x||, with eigenvalues scaled back by ||x||^2.
+    Eigenvalues within ``_FACE_GAP_TOL`` (relative) of the largest join
+    the face.  Raises :class:`ZeroElement` only for the zero element, an
+    x whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).  It
+    is the face of u = x/||x||, with eigenvalues scaled back by ||x||^2.
     """
     nx, u = _unit(as_complex_matrix(x))
     if nx == 0.0:
         raise ZeroElement("top face undefined for the zero element")
-    face = _top_face(u.conj().T @ u, gap_tol)
+    face = _top_face(u.conj().T @ u)
     n2 = nx * nx
     if n2 == np.inf:
         raise ValueError("||x||^2 beyond the double range")
     return replace(face, lambda_max=face.lambda_max * n2, gap=face.gap * n2)
 
 
-def _top_face(gram: np.ndarray, gap_tol: float = _FACE_GAP_TOL) -> TopFace:
+def _top_face(gram: np.ndarray) -> TopFace:
     """Top face of a Gram matrix <x, x>; the zero Gram matrix gives the
     whole space."""
     spec = _spectrum(gram)
     vals = spec.eigenvalues
     lam_max = float(vals[0])
-    cut = (1.0 - gap_tol) * lam_max
+    cut = (1.0 - _FACE_GAP_TOL) * lam_max
     k = int(np.sum(vals >= cut))
     n = vals.shape[0]
     if k < n:
         gap = lam_max - float(vals[k])
-        near = bool(vals[k] >= (1.0 - 10.0 * gap_tol) * lam_max)
+        near = bool(vals[k] >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam_max)
     else:
         gap = np.inf
         near = False
@@ -162,7 +162,7 @@ def _top_face(gram: np.ndarray, gap_tol: float = _FACE_GAP_TOL) -> TopFace:
         isometry=spec.eigenvectors[:, :k].copy(),
         lambda_max=lam_max,
         gap=gap,
-        gap_tol=gap_tol,
+        gap_tol=_FACE_GAP_TOL,
         near_degenerate=near,
     )
 

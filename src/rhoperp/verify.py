@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -38,10 +38,10 @@ from .stateface import (StateWitness, cauchy_schwarz_gap, state_value,
 # ---------------------------------------------------------------------------
 
 
-def random_element(rng, m: int, n: int, scale: float = 1.0) -> np.ndarray:
+def random_element(rng, m: int, n: int) -> np.ndarray:
     """m-by-n matrix with i.i.d. standard complex Gaussian entries."""
     z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-    return scale * z / np.sqrt(2.0)
+    return z / np.sqrt(2.0)
 
 
 def random_degenerate_element(rng, m: int, n: int, multiplicity: int = 2) -> np.ndarray:
@@ -114,14 +114,23 @@ def incomparability_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+# The BJ grid oracles scan _ORACLE_GRID magnitudes in [1e-4, _ORACLE_RADIUS]
+# (and as many angles); every oracle accepts a minimum down to ||x|| - _ORACLE_TOL.
+_ORACLE_RADIUS = 4.0
+_ORACLE_GRID = 64
+_ORACLE_TOL = 1e-6
+
+
 def _batched_norms(x, lams, y):
     stack = x[None, :, :] + lams[:, None, None] * y[None, :, :]
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _bj_grid_min(x, y, radius: float, grid: int) -> float:
-    radii = np.logspace(-4, np.log10(radius), grid)
-    angles = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+def bj_grid_oracle(x, y) -> bool:
+    """Search min ||x + lam y|| over a polar grid of complex lam with local
+    refinement; FALSE certifies non-orthogonality, TRUE is evidence."""
+    radii = np.logspace(-4, np.log10(_ORACLE_RADIUS), _ORACLE_GRID)
+    angles = np.linspace(0.0, 2.0 * np.pi, _ORACLE_GRID, endpoint=False)
     lams = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
     norms = _batched_norms(x, lams, y)
     i = int(np.argmin(norms))
@@ -130,19 +139,12 @@ def _bj_grid_min(x, y, radius: float, grid: int) -> float:
         x0=[lams[i].real, lams[i].imag], method="Nelder-Mead",
         options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
     )
-    return min(float(norms[i]), float(res.fun))
+    return min(float(norms[i]), float(res.fun)) >= module_norm(x) - _ORACLE_TOL
 
 
-def bj_grid_oracle(x, y, radius: float = 4.0, grid: int = 64, tol: float = 1e-6) -> bool:
-    """Search min ||x + lam y|| over a polar grid of complex lam with local
-    refinement; FALSE certifies non-orthogonality, TRUE is evidence."""
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
-    return _bj_grid_min(x, y, radius, grid) >= module_norm(x) - tol
-
-
-def _bj_real_grid_min(x, y, radius: float, grid: int) -> float:
-    mags = np.logspace(-4, np.log10(radius), grid)
+def bj_real_grid_oracle(x, y) -> bool:
+    """Real-scalar variant of :func:`bj_grid_oracle`."""
+    mags = np.logspace(-4, np.log10(_ORACLE_RADIUS), _ORACLE_GRID)
     alphas = np.concatenate([-mags[::-1], [0.0], mags])
     norms = _batched_norms(x, alphas.astype(complex), y)
     i = int(np.argmin(norms))
@@ -150,14 +152,7 @@ def _bj_real_grid_min(x, y, radius: float, grid: int) -> float:
     hi = alphas[min(i + 1, len(alphas) - 1)]
     res = minimize_scalar(lambda a: operator_norm(x + a * y), bounds=(lo, hi),
                           method="bounded", options={"xatol": 1e-12})
-    return min(float(norms[i]), float(res.fun))
-
-
-def bj_real_grid_oracle(x, y, radius: float = 4.0, grid: int = 64, tol: float = 1e-6) -> bool:
-    """Real-scalar variant of :func:`bj_grid_oracle`."""
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
-    return _bj_real_grid_min(x, y, radius, grid) >= module_norm(x) - tol
+    return min(float(norms[i]), float(res.fun)) >= module_norm(x) - _ORACLE_TOL
 
 
 _PARALLEL_GRID = 720
@@ -186,28 +181,30 @@ def parallel_grid_oracle(x, y) -> tuple[float, float]:
     return best_v, best_t % (2.0 * np.pi)
 
 
-def strong_bj_sample_oracle(x, y, trials: int = 200, seed: int = 0, tol: float = 1e-6) -> bool:
+# Gaussian algebra elements per scale and the seed they are drawn from.
+_SAMPLES_PER_SCALE = 50
+_SAMPLE_SEED = 7
+
+
+def strong_bj_sample_oracle(x, y) -> bool:
     """Search min ||x + y a|| over sampled algebra elements.
 
-    Samples Gaussian a at several scales plus the aimed one-parameter
-    family a = -c <y, x>, the canonical violator direction.  FALSE
-    certifies a violation, TRUE is sampling evidence.
+    Samples 50 Gaussian a at each of four scales, from a fixed seed, plus
+    the aimed one-parameter family a = -c <y, x>, the canonical violator
+    direction.  FALSE certifies a violation, TRUE is sampling evidence.
     """
-    if trials < 100:
-        raise ValueError(f"trials must be at least 100, got {trials}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SAMPLE_SEED)
     n = x.shape[1]
     best = np.inf
     for scale in (1e-2, 1e-1, 1.0, 10.0):
-        count = max(trials // 4, 25)
-        a = scale * (rng.standard_normal((count, n, n))
-                     + 1j * rng.standard_normal((count, n, n))) / np.sqrt(2.0)
+        a = scale * (rng.standard_normal((_SAMPLES_PER_SCALE, n, n))
+                     + 1j * rng.standard_normal((_SAMPLES_PER_SCALE, n, n))) / np.sqrt(2.0)
         norms = np.linalg.svd(x[None] + np.matmul(y, a), compute_uv=False)[:, 0]
         best = min(best, float(norms.min()))
     aimed = adjoint(y) @ x
     for c in np.logspace(-3.0, 1.0, 49):
         best = min(best, module_norm(x - c * (y @ aimed)))
-    return best >= module_norm(x) - tol
+    return best >= module_norm(x) - _ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -240,30 +237,47 @@ class SuiteReport:
             "seed": self.seed,
             "trials": self.trials,
             "all_pass": self.all_pass,
-            "properties": [
-                {"name": r.name, "trials": r.trials, "failures": r.failures,
-                 "worst_margin": r.worst_margin, "seconds": r.seconds}
-                for r in self.results
-            ],
+            "properties": [asdict(r) for r in self.results],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_payload(), indent=2, sort_keys=True)
 
 
+# (name, check) in suite order; check(rng, trials) returns (trials, failures,
+# worst margin or None).  The position of a property sets its child stream.
+_PROPERTIES = []
+
+
+def _property(name):
+    """Register ``check(rng, trials)``, which counts its own failures."""
+    def register(check):
+        _PROPERTIES.append((name, check))
+        return check
+    return register
+
+
+def _margin_property(name, cap=None):
+    """Register ``one(rng)``, which draws one instance and returns its
+    margin(s), run on min(trials, cap) instances; a margin below 0 fails."""
+    def register(one):
+        def check(rng, trials):
+            trials = trials if cap is None else min(trials, cap)
+            worst = np.inf
+            failures = 0
+            for _ in range(trials):
+                for v in np.atleast_1d(one(rng)):
+                    v = float(v)
+                    worst = min(worst, v)
+                    failures += v < 0.0
+            return trials, int(failures), worst
+        _PROPERTIES.append((name, check))
+        return one
+    return register
+
+
 def _dims(rng, lo=1, hi=6):
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))
-
-
-def _margins(name, rng, trials, fn):
-    worst = np.inf
-    failures = 0
-    for _ in range(trials):
-        for v in np.atleast_1d(fn(rng)):
-            v = float(v)
-            worst = min(worst, v)
-            failures += v < 0.0
-    return PropertyResult(name, trials, int(failures), worst)
 
 
 def _mixed_pair(rng, i):
@@ -276,290 +290,273 @@ def _mixed_pair(rng, i):
     return random_element(rng, m, n), random_element(rng, m, n)
 
 
-def _check_norm_submultiplicative(rng, trials):
-    def one(rng):
-        p, q = _dims(rng)
-        r = int(rng.integers(1, 7))
-        a, b = random_element(rng, p, q), random_element(rng, q, r)
-        return operator_norm(a) * operator_norm(b) + 1e-9 - operator_norm(a @ b)
-    return _margins("norm-submultiplicative", rng, trials, one)
+@_margin_property("norm-submultiplicative")
+def _norm_submultiplicative(rng):
+    p, q = _dims(rng)
+    r = int(rng.integers(1, 7))
+    a, b = random_element(rng, p, q), random_element(rng, q, r)
+    return operator_norm(a) * operator_norm(b) + 1e-9 - operator_norm(a @ b)
 
 
-def _check_cstar_identity(rng, trials):
-    def one(rng):
-        a = random_element(rng, *_dims(rng))
-        na = operator_norm(a)
-        return 1e-9 * (1.0 + na ** 2) - abs(operator_norm(adjoint(a) @ a) - na ** 2)
-    return _margins("cstar-identity", rng, trials, one)
+@_margin_property("cstar-identity")
+def _cstar_identity(rng):
+    a = random_element(rng, *_dims(rng))
+    na = operator_norm(a)
+    return 1e-9 * (1.0 + na ** 2) - abs(operator_norm(adjoint(a) @ a) - na ** 2)
 
 
-def _check_spectral_reconstruction(rng, trials):
-    def one(rng):
-        n = int(rng.integers(1, 7))
-        g = random_element(rng, n, n)
-        h = (g + g.conj().T) / 2.0
-        spec = hermitian_spectrum(h)
-        back = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        return 1e-9 * (1.0 + operator_norm(h)) - operator_norm(back - h)
-    return _margins("spectral-reconstruction", rng, trials, one)
+@_margin_property("spectral-reconstruction")
+def _spectral_reconstruction(rng):
+    n = int(rng.integers(1, 7))
+    g = random_element(rng, n, n)
+    h = (g + g.conj().T) / 2.0
+    spec = hermitian_spectrum(h)
+    back = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+    return 1e-9 * (1.0 + operator_norm(h)) - operator_norm(back - h)
 
 
-def _check_inner_product_axioms(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        a = random_element(rng, n, n)
-        scale = 1.0 + module_norm(x) * module_norm(y)
-        sym = operator_norm(adjoint(inner_product(x, y)) - inner_product(y, x))
-        psd = float(hermitian_spectrum(inner_product(x, x)).eigenvalues[-1])
-        act = operator_norm(inner_product(x, module_action(y, a))
-                            - inner_product(x, y) @ a)
-        return [1e-12 * scale - sym, psd + 1e-10,
-                1e-10 * scale * (1.0 + operator_norm(a)) - act]
-    return _margins("inner-product-axioms", rng, trials, one)
+@_margin_property("inner-product-axioms")
+def _inner_product_axioms(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    a = random_element(rng, n, n)
+    scale = 1.0 + module_norm(x) * module_norm(y)
+    sym = operator_norm(adjoint(inner_product(x, y)) - inner_product(y, x))
+    psd = float(hermitian_spectrum(inner_product(x, x)).eigenvalues[-1])
+    act = operator_norm(inner_product(x, module_action(y, a))
+                        - inner_product(x, y) @ a)
+    return [1e-12 * scale - sym, psd + 1e-10,
+            1e-10 * scale * (1.0 + operator_norm(a)) - act]
 
 
-def _check_module_norm_consistency(rng, trials):
-    def one(rng):
-        x = random_element(rng, *_dims(rng))
-        via_gram = np.sqrt(operator_norm(inner_product(x, x)))
-        return 1e-10 * (1.0 + module_norm(x)) - abs(module_norm(x) - via_gram)
-    return _margins("module-norm-consistency", rng, trials, one)
+@_margin_property("module-norm-consistency")
+def _module_norm_consistency(rng):
+    x = random_element(rng, *_dims(rng))
+    via_gram = np.sqrt(operator_norm(inner_product(x, x)))
+    return 1e-10 * (1.0 + module_norm(x)) - abs(module_norm(x) - via_gram)
 
 
-def _check_cauchy_schwarz_norm(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        return module_norm(x) * module_norm(y) + 1e-9 - operator_norm(inner_product(x, y))
-    return _margins("cauchy-schwarz-norm", rng, trials, one)
+@_margin_property("cauchy-schwarz-norm")
+def _cauchy_schwarz_norm(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    return module_norm(x) * module_norm(y) + 1e-9 - operator_norm(inner_product(x, y))
 
 
-def _check_cauchy_schwarz_state_gap(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        p = random_state(rng, n)
-        scale = 1.0 + (module_norm(x) * module_norm(y)) ** 2
-        return cauchy_schwarz_gap(p, x, y) + 1e-9 * scale
-    return _margins("cauchy-schwarz-state-gap", rng, trials, one)
+@_margin_property("cauchy-schwarz-state-gap")
+def _cauchy_schwarz_state_gap(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    p = random_state(rng, n)
+    scale = 1.0 + (module_norm(x) * module_norm(y)) ** 2
+    return cauchy_schwarz_gap(p, x, y) + 1e-9 * scale
 
 
-def _check_face_attains_norm(rng, trials):
-    def one(rng):
-        m, n = _dims(rng, 2, 6)
-        x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
-        face = top_face(x)
-        q = random_state(rng, face.dim)
-        p = StateWitness(face.isometry @ q.density @ face.isometry.conj().T)
-        val = state_value(p, inner_product(x, x)).real
-        n2 = module_norm(x) ** 2
-        return 1e-8 * (1.0 + n2) - abs(val - n2)
-    return _margins("face-attains-norm", rng, trials, one)
+@_margin_property("face-attains-norm")
+def _face_attains_norm(rng):
+    m, n = _dims(rng, 2, 6)
+    x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
+    face = top_face(x)
+    q = random_state(rng, face.dim)
+    p = StateWitness(face.isometry @ q.density @ face.isometry.conj().T)
+    val = state_value(p, inner_product(x, x)).real
+    n2 = module_norm(x) ** 2
+    return 1e-8 * (1.0 + n2) - abs(val - n2)
 
 
-def _check_off_face_deficit(rng, trials):
-    def one(rng):
-        m, n = _dims(rng, 2, 6)
-        x = random_element(rng, m, n)
-        face = top_face(x)
-        if face.dim >= n:
-            return 1.0
-        spec = hermitian_spectrum(inner_product(x, x))
-        off = spec.eigenvectors[:, face.dim]
-        mass = rng.uniform(0.1, 0.9)
-        q = random_state(rng, face.dim)
-        on_face = face.isometry @ q.density @ face.isometry.conj().T
-        p = StateWitness((1.0 - mass) * on_face + mass * np.outer(off, off.conj()))
-        val = state_value(p, inner_product(x, x)).real
-        return (module_norm(x) ** 2 - face.gap * mass / 2.0) - val
-    return _margins("off-face-deficit", rng, trials, one)
+@_margin_property("off-face-deficit")
+def _off_face_deficit(rng):
+    m, n = _dims(rng, 2, 6)
+    x = random_element(rng, m, n)
+    face = top_face(x)
+    if face.dim >= n:
+        return 1.0
+    spec = hermitian_spectrum(inner_product(x, x))
+    off = spec.eigenvectors[:, face.dim]
+    mass = rng.uniform(0.1, 0.9)
+    q = random_state(rng, face.dim)
+    on_face = face.isometry @ q.density @ face.isometry.conj().T
+    p = StateWitness((1.0 - mass) * on_face + mass * np.outer(off, off.conj()))
+    val = state_value(p, inner_product(x, x)).real
+    return (module_norm(x) ** 2 - face.gap * mass / 2.0) - val
 
 
-def _check_rho_p1(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        nx, ny = module_norm(x), module_norm(y)
-        pair = rho_pair(x, y)
-        self_pair = rho_pair(x, x)
-        scale = 1.0 + nx * ny
-        return [pair.rho_plus - pair.rho_minus + 1e-10,
-                nx * ny + 1e-8 * scale - abs(pair.rho_plus),
-                nx * ny + 1e-8 * scale - abs(pair.rho_minus),
-                1e-8 * (1.0 + nx ** 2) - abs(self_pair.rho_plus - nx ** 2),
-                1e-8 * (1.0 + nx ** 2) - abs(self_pair.rho_minus - nx ** 2)]
-    return _margins("rho-p1", rng, trials, one)
+@_margin_property("rho-p1")
+def _rho_p1(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    nx, ny = module_norm(x), module_norm(y)
+    pair = rho_pair(x, y)
+    self_pair = rho_pair(x, x)
+    scale = 1.0 + nx * ny
+    return [pair.rho_plus - pair.rho_minus + 1e-10,
+            nx * ny + 1e-8 * scale - abs(pair.rho_plus),
+            nx * ny + 1e-8 * scale - abs(pair.rho_minus),
+            1e-8 * (1.0 + nx ** 2) - abs(self_pair.rho_plus - nx ** 2),
+            1e-8 * (1.0 + nx ** 2) - abs(self_pair.rho_minus - nx ** 2)]
 
 
-def _check_rho_p2(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        tol = 1e-8 * (1.0 + module_norm(x) * module_norm(y))
-        p = rho_pair(x, y)
-        p_negx = rho_pair(-x, y)
-        p_negy = rho_pair(x, -y)
-        return [tol - abs(p_negx.rho_plus + p.rho_minus),
-                tol - abs(p_negy.rho_plus + p.rho_minus),
-                tol - abs(p_negx.rho_minus + p.rho_plus),
-                tol - abs(p_negy.rho_minus + p.rho_plus)]
-    return _margins("rho-p2", rng, trials, one)
+@_margin_property("rho-p2")
+def _rho_p2(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    tol = 1e-8 * (1.0 + module_norm(x) * module_norm(y))
+    p = rho_pair(x, y)
+    p_negx = rho_pair(-x, y)
+    p_negy = rho_pair(x, -y)
+    return [tol - abs(p_negx.rho_plus + p.rho_minus),
+            tol - abs(p_negy.rho_plus + p.rho_minus),
+            tol - abs(p_negx.rho_minus + p.rho_plus),
+            tol - abs(p_negy.rho_minus + p.rho_plus)]
 
 
-def _check_rho_p3(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        nx = module_norm(x)
-        base = rho_pair(x, y)
-        shifted = rho_pair(x, alpha * x + y)
-        tol = 1e-8 * (1.0 + nx * module_norm(y) + abs(alpha) * nx ** 2)
-        return [tol - abs(shifted.rho_plus - (alpha.real * nx ** 2 + base.rho_plus)),
-                tol - abs(shifted.rho_minus - (alpha.real * nx ** 2 + base.rho_minus))]
-    return _margins("rho-p3", rng, trials, one)
+@_margin_property("rho-p3")
+def _rho_p3(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    alpha = complex(rng.standard_normal(), rng.standard_normal())
+    nx = module_norm(x)
+    base = rho_pair(x, y)
+    shifted = rho_pair(x, alpha * x + y)
+    tol = 1e-8 * (1.0 + nx * module_norm(y) + abs(alpha) * nx ** 2)
+    return [tol - abs(shifted.rho_plus - (alpha.real * nx ** 2 + base.rho_plus)),
+            tol - abs(shifted.rho_minus - (alpha.real * nx ** 2 + base.rho_minus))]
 
 
-def _check_rho_p4(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        alpha = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
-        beta = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
-        phase = np.exp(1j * (np.angle(beta) - np.angle(alpha)))
-        lhs = rho_pair(alpha * x, beta * y)
-        rhs = rho_pair(x, phase * y)
-        mod = abs(alpha * beta)
-        tol = 1e-8 * (1.0 + mod * (1.0 + module_norm(x) * module_norm(y)))
-        return [tol - abs(lhs.rho_plus - mod * rhs.rho_plus),
-                tol - abs(lhs.rho_minus - mod * rhs.rho_minus)]
-    return _margins("rho-p4", rng, trials, one)
+@_margin_property("rho-p4")
+def _rho_p4(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    alpha = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
+    beta = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
+    phase = np.exp(1j * (np.angle(beta) - np.angle(alpha)))
+    lhs = rho_pair(alpha * x, beta * y)
+    rhs = rho_pair(x, phase * y)
+    mod = abs(alpha * beta)
+    tol = 1e-8 * (1.0 + mod * (1.0 + module_norm(x) * module_norm(y)))
+    return [tol - abs(lhs.rho_plus - mod * rhs.rho_plus),
+            tol - abs(lhs.rho_minus - mod * rhs.rho_minus)]
 
 
-def _check_rho_p5(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        base = rho_pair(x, y).rho_plus
-        d = [rho_pair(x + t * y, y).rho_plus - base for t in (1e-2, 1e-4, 1e-6)]
-        fuzz = 1e-9 * (1.0 + module_norm(x) * module_norm(y))
-        return [d[0] - d[1] + fuzz, d[1] - d[2] + fuzz, d[2] + fuzz,
-                1e-4 * (1.0 + module_norm(y) ** 2) - abs(d[2])]
-    return _margins("rho-p5", rng, trials, one)
+@_margin_property("rho-p5")
+def _rho_p5(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    base = rho_pair(x, y).rho_plus
+    d = [rho_pair(x + t * y, y).rho_plus - base for t in (1e-2, 1e-4, 1e-6)]
+    fuzz = 1e-9 * (1.0 + module_norm(x) * module_norm(y))
+    return [d[0] - d[1] + fuzz, d[1] - d[2] + fuzz, d[2] + fuzz,
+            1e-4 * (1.0 + module_norm(y) ** 2) - abs(d[2])]
 
 
-def _check_rho_closed_vs_fd(rng, trials):
-    def one(rng):
-        m, n = _dims(rng)
-        x, y = random_element(rng, m, n), random_element(rng, m, n)
-        pair = rho_pair(x, y)
-        tol = 1e-5 * (1.0 + module_norm(x) * module_norm(y))
-        return [tol - abs(rho_fd(x, y, "+") - pair.rho_plus),
-                tol - abs(rho_fd(x, y, "-") - pair.rho_minus)]
-    return _margins("rho-closed-vs-fd", rng, trials, one)
+@_margin_property("rho-closed-vs-fd")
+def _rho_closed_vs_fd(rng):
+    m, n = _dims(rng)
+    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    pair = rho_pair(x, y)
+    tol = 1e-5 * (1.0 + module_norm(x) * module_norm(y))
+    return [tol - abs(rho_fd(x, y, "+") - pair.rho_plus),
+            tol - abs(rho_fd(x, y, "-") - pair.rho_minus)]
 
 
-def _check_rho_witness_attainment(rng, trials):
-    def one(rng):
-        m, n = _dims(rng, 2, 6)
-        x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
-        y = random_element(rng, m, n)
-        pair = rho_pair(x, y)
-        ip = inner_product(x, y)
-        gram = inner_product(x, x)
-        n2 = module_norm(x) ** 2
-        tol = 1e-9 * (1.0 + module_norm(x) * module_norm(y))
-        out = []
-        for w, target in ((pair.max_witness, pair.rho_plus), (pair.min_witness, pair.rho_minus)):
-            out.append(tol - abs(state_value(w, ip).real - target))
-            out.append(1e-8 * (1.0 + n2) - abs(state_value(w, gram).real - n2))
-        return out
-    return _margins("rho-witness-attainment", rng, trials, one)
+@_margin_property("rho-witness-attainment")
+def _rho_witness_attainment(rng):
+    m, n = _dims(rng, 2, 6)
+    x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
+    y = random_element(rng, m, n)
+    pair = rho_pair(x, y)
+    ip = inner_product(x, y)
+    gram = inner_product(x, x)
+    n2 = module_norm(x) ** 2
+    tol = 1e-9 * (1.0 + module_norm(x) * module_norm(y))
+    out = []
+    for w, target in ((pair.max_witness, pair.rho_plus), (pair.min_witness, pair.rho_minus)):
+        out.append(tol - abs(state_value(w, ip).real - target))
+        out.append(1e-8 * (1.0 + n2) - abs(state_value(w, gram).real - n2))
+    return out
 
 
-def _check_cube_identity(rng, trials):
-    def one(rng):
-        m, n = _dims(rng, 2, 6)
-        x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
-        rep = rho_cube_identity(x)
-        n4 = rep.norm_fourth
-        return [1e-8 * n4 - rep.max_deviation, 1e-8 * n4 - rep.witness_square_residual]
-    return _margins("cube-identity", rng, trials, one)
+@_margin_property("cube-identity")
+def _cube_identity(rng):
+    m, n = _dims(rng, 2, 6)
+    x = random_element(rng, m, n) if rng.integers(2) else random_degenerate_element(rng, m, n)
+    rep = rho_cube_identity(x)
+    n4 = rep.norm_fourth
+    return [1e-8 * n4 - rep.max_deviation, 1e-8 * n4 - rep.witness_square_residual]
 
 
-def _check_daugavet_equation(rng, trials):
-    def one(rng):
-        x = random_element(rng, *_dims(rng))
-        out = []
-        for alpha, beta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.1)):
-            rep = module_daugavet_check(x, alpha, beta)
-            out.append(1e-9 * rep.rhs - rep.residual)
-            out.append(1e-9 * module_norm(x) ** 3 - rep.cube_norm_residual)
-        return out
-    return _margins("daugavet-equation", rng, trials, one)
+@_margin_property("daugavet-equation")
+def _daugavet_equation(rng):
+    x = random_element(rng, *_dims(rng))
+    out = []
+    for alpha, beta in ((1.0, 1.0), (0.5, 2.0), (3.0, 0.1)):
+        rep = module_daugavet_check(x, alpha, beta)
+        out.append(1e-9 * rep.rhs - rep.residual)
+        out.append(1e-9 * module_norm(x) ** 3 - rep.cube_norm_residual)
+    return out
 
 
-def _check_daugavet_scaling(rng, trials):
-    def one(rng):
-        x = random_element(rng, *_dims(rng))
-        c = complex(rng.standard_normal(), rng.standard_normal()) + 0.3
-        alpha, beta = 1.0, 0.7
-        base = module_daugavet_check(x, alpha, beta)
-        scaled = module_daugavet_check(c * x, alpha, beta / abs(c) ** 2)
-        return 1e-9 * scaled.rhs - abs(scaled.residual - abs(c) * base.residual)
-    return _margins("daugavet-scaling", rng, trials, one)
+@_margin_property("daugavet-scaling")
+def _daugavet_scaling(rng):
+    x = random_element(rng, *_dims(rng))
+    c = complex(rng.standard_normal(), rng.standard_normal()) + 0.3
+    alpha, beta = 1.0, 0.7
+    base = module_daugavet_check(x, alpha, beta)
+    scaled = module_daugavet_check(c * x, alpha, beta / abs(c) ** 2)
+    return 1e-9 * scaled.rhs - abs(scaled.residual - abs(c) * base.residual)
 
 
-def _check_daugavet_parallel(rng, trials):
-    trials = min(trials, 120)
-
-    def one(rng):
-        x = random_element(rng, *_dims(rng))
-        y = module_action(x, inner_product(x, x))
-        rep = is_norm_parallel(x, y)
-        if not rep.holds:
-            return -1.0
-        target = module_norm(x) + module_norm(y)
-        max_norm, _ = parallel_grid_oracle(x, y)
-        return [1e-6 - abs(rep.witness - 1.0),
-                1e-9 * (1.0 + target) - (target - max_norm)]
-    return _margins("daugavet-parallel", rng, trials, one)
+@_margin_property("daugavet-parallel", cap=120)
+def _daugavet_parallel(rng):
+    x = random_element(rng, *_dims(rng))
+    y = module_action(x, inner_product(x, x))
+    rep = is_norm_parallel(x, y)
+    if not rep.holds:
+        return -1.0
+    target = module_norm(x) + module_norm(y)
+    max_norm, _ = parallel_grid_oracle(x, y)
+    return [1e-6 - abs(rep.witness - 1.0),
+            1e-9 * (1.0 + target) - (target - max_norm)]
 
 
-def _check_operator_witness(rng, trials):
-    def one(rng):
-        t = random_element(rng, *_dims(rng))
-        rep = operator_daugavet_witness(t)
-        nt, n3 = rep.norm_t, rep.norm_t ** 3
-        return [1e-8 * nt - rep.attainment_residual, 1e-8 * n3 - rep.cube_attainment_residual,
-                1e-8 - rep.alignment_residual, 1e-8 * (nt + n3) - rep.equation_residual]
-    return _margins("operator-witness", rng, trials, one)
+@_margin_property("operator-witness")
+def _operator_witness(rng):
+    t = random_element(rng, *_dims(rng))
+    rep = operator_daugavet_witness(t)
+    nt, n3 = rep.norm_t, rep.norm_t ** 3
+    return [1e-8 * nt - rep.attainment_residual, 1e-8 * n3 - rep.cube_attainment_residual,
+            1e-8 - rep.alignment_residual, 1e-8 * (nt + n3) - rep.equation_residual]
 
 
-def _check_bj_vs_grid_oracle(rng, trials):
+def _oracle_disagreements(rng, trials, predicate, oracle):
+    """Pairs on which the predicate holds at tol 1e-9 but the oracle
+    exhibits a violator."""
     pairs = [_mixed_pair(rng, i) for i in range(min(trials, 100))]
-    failures = sum(is_bj(x, y, tol=1e-9).holds and not bj_grid_oracle(x, y) for x, y in pairs)
-    return PropertyResult("bj-vs-grid-oracle", len(pairs), int(failures), None)
+    failures = sum(predicate(x, y, tol=1e-9).holds and not oracle(x, y) for x, y in pairs)
+    return len(pairs), int(failures), None
 
 
-def _check_bj_real_vs_grid_oracle(rng, trials):
-    pairs = [_mixed_pair(rng, i) for i in range(min(trials, 100))]
-    failures = sum(is_bj_real(x, y, tol=1e-9).holds and not bj_real_grid_oracle(x, y)
-                   for x, y in pairs)
-    return PropertyResult("bj-real-vs-grid-oracle", len(pairs), int(failures), None)
+@_property("bj-vs-grid-oracle")
+def _bj_vs_grid_oracle(rng, trials):
+    return _oracle_disagreements(rng, trials, is_bj, bj_grid_oracle)
 
 
-def _check_strong_vs_sampling_oracle(rng, trials):
+@_property("bj-real-vs-grid-oracle")
+def _bj_real_vs_grid_oracle(rng, trials):
+    return _oracle_disagreements(rng, trials, is_bj_real, bj_real_grid_oracle)
+
+
+@_property("strong-vs-sampling-oracle")
+def _strong_vs_sampling_oracle(rng, trials):
     t, s, r = incomparability_triple()
     cases = [(t, s, False), (t, r, True)]
     cases += [(*_mixed_pair(rng, i), None) for i in range(min(trials, 100))]
     failures = 0
     for x, y, expected in cases:
         ours = is_bj_strong(x, y, tol=1e-9).holds
-        failures += ours and not strong_bj_sample_oracle(x, y, trials=200, seed=7)
+        failures += ours and not strong_bj_sample_oracle(x, y)
         failures += expected is not None and ours != expected
-    return PropertyResult("strong-vs-sampling-oracle", len(cases), int(failures), None)
+    return len(cases), int(failures), None
 
 
 CHAIN_PREDICATES = (is_ip_orthogonal, is_bj_strong, is_bj, is_bj_real, is_rho_orthogonal)
@@ -570,7 +567,8 @@ CHAIN_EDGES = ((is_ip_orthogonal, is_bj_strong), (is_bj_strong, is_bj), (is_bj, 
 CHAIN_SLACK = 4.0 * np.finfo(float).eps
 
 
-def _check_implication_chains(rng, trials):
+@_property("implication-chains")
+def _implication_chains(rng, trials):
     """m_strong <= m_weak + CHAIN_SLACK on every edge: as every predicate
     decides holds == (margin >= -tol), that is each implication at one tol."""
     triple = incomparability_triple()
@@ -578,28 +576,25 @@ def _check_implication_chains(rng, trials):
     pairs += [_mixed_pair(rng, i) for i in range(trials)]
     margins = [{pred: pred(x, y).margin for pred in CHAIN_PREDICATES} for x, y in pairs]
     slack = CHAIN_SLACK + np.array([m[w] - m[s] for m in margins for s, w in CHAIN_EDGES])
-    return PropertyResult("implication-chains", len(pairs), int(np.sum(slack < 0.0)),
-                          float(slack.min()))
+    return len(pairs), int(np.sum(slack < 0.0)), float(slack.min())
 
 
-def _check_bj_norm_lower_bound(rng, trials):
-    trials = min(trials, 120)
-
-    def one(rng):
-        m, n = _dims(rng, 2, 6)
-        x, y = bj_orthogonal_pair(rng, m, n)
-        if not is_bj(x, y).holds:
-            return -1.0
-        my = m_lower_bound(y)
-        r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, size=100))
-        lams = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=100))
-        norms = _batched_norms(x, lams, y)
-        slack = norms ** 2 - module_norm(x) ** 2 - np.abs(lams) ** 2 * my
-        return float(slack.min()) + 1e-8
-    return _margins("bj-norm-lower-bound", rng, trials, one)
+@_margin_property("bj-norm-lower-bound", cap=120)
+def _bj_norm_lower_bound(rng):
+    m, n = _dims(rng, 2, 6)
+    x, y = bj_orthogonal_pair(rng, m, n)
+    if not is_bj(x, y).holds:
+        return -1.0
+    my = m_lower_bound(y)
+    r = 2.0 * np.sqrt(rng.uniform(0.0, 1.0, size=100))
+    lams = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=100))
+    norms = _batched_norms(x, lams, y)
+    slack = norms ** 2 - module_norm(x) ** 2 - np.abs(lams) ** 2 * my
+    return float(slack.min()) + 1e-8
 
 
-def _check_relation_homogeneity(rng, trials):
+@_property("relation-homogeneity")
+def _relation_homogeneity(rng, trials):
     """Verdicts on (c x, d y) equal those on (x, y), for |c|, |d| drawn
     log-uniformly over 10^[-150, 150] with random phases; a warning or a
     raise on the rescaled pair counts as a failure."""
@@ -618,47 +613,40 @@ def _check_relation_homogeneity(rng, trials):
                     failures += pred(x, y).holds != pred(c * x, d * y).holds
                 except (ArithmeticError, ValueError, RuntimeWarning):
                     failures += 1
-    return PropertyResult("relation-homogeneity", trials, int(failures), None)
+    return trials, int(failures), None
 
 
-def _check_numrange_grid_agreement(rng, trials):
-    trials = min(trials, 200)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-
-    def one(rng):
-        k = int(rng.choice([2, 3, 5]))
-        m = random_element(rng, k, k)
-        res = zero_in_numrange(m)
-        ph = np.exp(1j * thetas).reshape(-1, 1, 1)
-        g_scan = float(np.linalg.eigvalsh((ph * m + ph.conj() * m.conj().T) / 2.0)[:, -1].min())
-        nrm = operator_norm(m)
-        # The margin is the support function evaluated at its minimum, so
-        # it lies at or below the scan's minimum (up to rounding) and within
-        # the 4096-angle grid's Lipschitz error ||M|| pi / 4096 of it.
-        band = nrm * np.pi / 4096 + 1e-9 * (1.0 + nrm)
-        if g_scan > band and not res.contains_zero:
-            return -1.0
-        if g_scan < -band and res.contains_zero:
-            return -1.0
-        return [band - abs(res.margin - g_scan), g_scan + 1e-12 * (1.0 + nrm) - res.margin]
-    return _margins("numrange-grid-agreement", rng, trials, one)
+@_margin_property("numrange-grid-agreement", cap=200)
+def _numrange_grid_agreement(rng):
+    k = int(rng.choice([2, 3, 5]))
+    m = random_element(rng, k, k)
+    res = zero_in_numrange(m)
+    ph = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)).reshape(-1, 1, 1)
+    g_scan = float(np.linalg.eigvalsh((ph * m + ph.conj() * m.conj().T) / 2.0)[:, -1].min())
+    nrm = operator_norm(m)
+    # The margin is the support function evaluated at its minimum, so
+    # it lies at or below the scan's minimum (up to rounding) and within
+    # the 4096-angle grid's Lipschitz error ||M|| pi / 4096 of it.
+    band = nrm * np.pi / 4096 + 1e-9 * (1.0 + nrm)
+    if g_scan > band and not res.contains_zero:
+        return -1.0
+    if g_scan < -band and res.contains_zero:
+        return -1.0
+    return [band - abs(res.margin - g_scan), g_scan + 1e-12 * (1.0 + nrm) - res.margin]
 
 
-def _check_numrange_rotation_consistency(rng, trials):
-    trials = min(trials, 100)
-
-    def one(rng):
-        k = int(rng.choice([2, 3, 4]))
-        m = random_element(rng, k, k)
-        res1 = zero_in_numrange(m)
-        if not res1.contains_zero:
-            return 1.0
-        res2 = zero_in_numrange(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * m)
-        if not res2.contains_zero:
-            return -1.0
-        tol_abs = 1e-9 * (1.0 + operator_norm(m))
-        return min(tol_abs - res1.residual, tol_abs - res2.residual)
-    return _margins("numrange-rotation-consistency", rng, trials, one)
+@_margin_property("numrange-rotation-consistency", cap=100)
+def _numrange_rotation_consistency(rng):
+    k = int(rng.choice([2, 3, 4]))
+    m = random_element(rng, k, k)
+    res1 = zero_in_numrange(m)
+    if not res1.contains_zero:
+        return 1.0
+    res2 = zero_in_numrange(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * m)
+    if not res2.contains_zero:
+        return -1.0
+    tol_abs = 1e-9 * (1.0 + operator_norm(m))
+    return min(tol_abs - res1.residual, tol_abs - res2.residual)
 
 
 def _witness_margins(x, y):
@@ -668,9 +656,10 @@ def _witness_margins(x, y):
     n2 = nx ** 2
     ip = inner_product(x, y)
     gram = inner_product(x, x)
+    bj, bj_real = is_bj(x, y), is_bj_real(x, y)
     checks = (
-        (is_bj(x, y), lambda w: abs(state_value(w, ip))),
-        (is_bj_real(x, y), lambda w: abs(state_value(w, ip).real)),
+        (bj, lambda w: abs(state_value(w, ip))),
+        (bj_real, lambda w: abs(state_value(w, ip).real)),
         (is_bj_strong(x, y), lambda w: abs(state_value(w, ip @ adjoint(ip)).real)),
     )
     for rep, annihilation in checks:
@@ -678,28 +667,25 @@ def _witness_margins(x, y):
             continue
         out.append(1e-8 * (1.0 + n2) - abs(state_value(rep.witness, gram).real - n2))
         out.append(1e-8 * (1.0 + nx * ny + (nx * ny) ** 2) - annihilation(rep.witness))
-    if is_bj(x, y).holds:
-        v = bhatia_semrl_witness(x, y)
-        out.append(1e-8 * (1.0 + nx) - abs(float(np.linalg.norm(x @ v)) - nx))
-        out.append(1e-8 * (1.0 + nx * ny) - abs((x @ v).conj() @ (y @ v)))
-    if is_bj_real(x, y).holds:
-        v = bhatia_semrl_witness(x, y, real=True)
-        out.append(1e-8 * (1.0 + nx) - abs(float(np.linalg.norm(x @ v)) - nx))
-        out.append(1e-8 * (1.0 + nx * ny) - abs(((x @ v).conj() @ (y @ v)).real))
+    for real, rep in ((False, bj), (True, bj_real)):
+        if not rep.holds:
+            continue
+        v = bhatia_semrl_witness(x, y, real=real)
+        xv, yv = x @ v, y @ v
+        cross = xv.conj() @ yv
+        out.append(1e-8 * (1.0 + nx) - abs(float(np.linalg.norm(xv)) - nx))
+        out.append(1e-8 * (1.0 + nx * ny) - abs(cross.real if real else cross))
     return out
 
 
-def _check_witness_validity(rng, trials):
-    trials = min(trials, 120)
-
-    def one(rng):
-        x, y = _mixed_pair(rng, int(rng.integers(0, 4)))
-        out = _witness_margins(x, y)
-        return out if out else [1.0]
-    return _margins("witness-validity", rng, trials, one)
+@_margin_property("witness-validity", cap=120)
+def _witness_validity(rng):
+    x, y = _mixed_pair(rng, int(rng.integers(0, 4)))
+    return _witness_margins(x, y) or [1.0]
 
 
-def _check_two_by_two_reference(rng, trials):
+@_property("two-by-two-reference")
+def _two_by_two_reference(rng, trials):
     t, s, r = incomparability_triple()
     pair_s = rho_pair(t, s)
     pair_r = rho_pair(t, r)
@@ -718,56 +704,21 @@ def _check_two_by_two_reference(rng, trials):
         (is_bj(t, s).holds, True),
     ]
     failures = sum(got != want for got, want in table) + sum(m < 0 for m in margins)
-    return PropertyResult("two-by-two-reference", 1, int(failures), float(min(margins)))
+    return 1, int(failures), float(min(margins))
 
 
-def _check_incomparability(rng, trials):
+@_property("incomparability")
+def _incomparability(rng, trials):
     t, s, r = incomparability_triple()
     rho_not_strong = is_rho_orthogonal(t, s).holds and not is_bj_strong(t, s).holds
     strong_not_rho = is_bj_strong(t, r).holds and not is_rho_orthogonal(t, r).holds
     failures = (not rho_not_strong) + (not strong_not_rho)
-    return PropertyResult("incomparability", 1, int(failures), None)
-
-
-_REGISTRY = (
-    _check_norm_submultiplicative,
-    _check_cstar_identity,
-    _check_spectral_reconstruction,
-    _check_inner_product_axioms,
-    _check_module_norm_consistency,
-    _check_cauchy_schwarz_norm,
-    _check_cauchy_schwarz_state_gap,
-    _check_face_attains_norm,
-    _check_off_face_deficit,
-    _check_rho_p1,
-    _check_rho_p2,
-    _check_rho_p3,
-    _check_rho_p4,
-    _check_rho_p5,
-    _check_rho_closed_vs_fd,
-    _check_rho_witness_attainment,
-    _check_cube_identity,
-    _check_daugavet_equation,
-    _check_daugavet_scaling,
-    _check_daugavet_parallel,
-    _check_operator_witness,
-    _check_bj_vs_grid_oracle,
-    _check_bj_real_vs_grid_oracle,
-    _check_strong_vs_sampling_oracle,
-    _check_implication_chains,
-    _check_bj_norm_lower_bound,
-    _check_relation_homogeneity,
-    _check_numrange_grid_agreement,
-    _check_numrange_rotation_consistency,
-    _check_witness_validity,
-    _check_two_by_two_reference,
-    _check_incomparability,
-)
+    return 1, int(failures), None
 
 
 def property_names() -> tuple[str, ...]:
     """Names of all suite properties, in registry order."""
-    return tuple(fn.__name__.removeprefix("_check_").replace("_", "-") for fn in _REGISTRY)
+    return tuple(name for name, _ in _PROPERTIES)
 
 
 def property_suite(seed: int = 0, trials: int = 200, names=None) -> SuiteReport:
@@ -782,16 +733,15 @@ def property_suite(seed: int = 0, trials: int = 200, names=None) -> SuiteReport:
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    children = np.random.SeedSequence(seed).spawn(len(_REGISTRY))
+    children = np.random.SeedSequence(seed).spawn(len(_PROPERTIES))
     wanted = None if names is None else set(names)
     results = []
-    for fn, child in zip(_REGISTRY, children):
-        name = fn.__name__.removeprefix("_check_").replace("_", "-")
+    for (name, check), child in zip(_PROPERTIES, children):
         if wanted is not None and name not in wanted:
             continue
         start = time.perf_counter()
-        result = fn(np.random.default_rng(child), trials)
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        outcome = check(np.random.default_rng(child), trials)
+        results.append(PropertyResult(name, *outcome, seconds=time.perf_counter() - start))
     if wanted is not None:
         missing = wanted - {r.name for r in results}
         if missing:

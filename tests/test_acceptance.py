@@ -113,12 +113,12 @@ def test_criterion_5_bj_equivalence_with_grid_oracle():
         m, n = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         x, y = random_element(rng, m, n), random_element(rng, m, n)
         ours = is_bj(x, y).holds
-        oracle = bj_grid_oracle(x, y, radius=4.0, grid=64)
+        oracle = bj_grid_oracle(x, y)
         if ours and not oracle:
             problems.append(f"pair {i}: certificate-TRUE / oracle-FALSE (bj)")
         resolution_misses += (not ours) and oracle
         ours_r = is_bj_real(x, y).holds
-        oracle_r = bj_real_grid_oracle(x, y, radius=4.0, grid=64)
+        oracle_r = bj_real_grid_oracle(x, y)
         if ours_r and not oracle_r:
             problems.append(f"pair {i}: certificate-TRUE / oracle-FALSE (bj-real)")
         resolution_misses += (not ours_r) and oracle_r

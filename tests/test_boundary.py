@@ -178,8 +178,23 @@ def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
     for f in LAPACK:
         lapack_calls[f] = 0
     operator_daugavet_witness(x)
-    # one full SVD of T, then the norms of T T* T and of T + T T* T
+    # one thin SVD of T, then the norms of T T* T and of T + T T* T
     assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (3, 0, 0)
+
+
+def test_operator_witness_takes_a_thin_svd(monkeypatch):
+    # on a tall T a full SVD would also build an m-by-m U that nothing reads
+    modes = []
+    svd = np.linalg.svd
+
+    def recorded(a, full_matrices=True, compute_uv=True, **kwargs):
+        if compute_uv:
+            modes.append(full_matrices)
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    operator_daugavet_witness(random_element(np.random.default_rng(47), 12, 3))
+    assert modes == [False]
 
 
 def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):

@@ -113,6 +113,15 @@ def test_fd_of_zero_element_is_zero():
         assert rho_fd(y, 1e-310 * y, side) == 0.0
 
 
+def test_fd_rejects_a_norm_beyond_the_double_range():
+    # ||y|| = 2e308 overflows: like every pair operation, rho_fd raises
+    # instead of returning nan or failing to settle
+    x, y = np.eye(2), np.full((2, 2), 1e308)
+    for a, b in ((x, y), (y, x)):
+        with pytest.raises(ValueError, match="double range"):
+            rho_fd(a, b)
+
+
 def test_fd_rejects_bad_side():
     with pytest.raises(ValueError):
         rho_fd(np.eye(2), np.eye(2), "up")

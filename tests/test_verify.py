@@ -53,11 +53,6 @@ def test_bj_grid_oracle_agreement_sweep():
         assert ours == oracle
 
 
-def test_bj_grid_oracle_validates_grid():
-    with pytest.raises(ValueError):
-        bj_grid_oracle(T, S, grid=32)
-
-
 def test_bj_real_grid_oracle_reference_cases():
     x = np.array([[1.0], [0.0]])
     y = np.array([[1.0j], [0.0]])
@@ -80,11 +75,6 @@ def test_strong_sample_oracle_reference_cases():
     assert strong_bj_sample_oracle(T, R)
     x, y = inner_orthogonal_pair(np.random.default_rng(55), 4, 2)
     assert strong_bj_sample_oracle(x, y)
-
-
-def test_strong_sample_oracle_validates_trials():
-    with pytest.raises(ValueError):
-        strong_bj_sample_oracle(T, S, trials=10)
 
 
 def _parallel_sweep_pairs(rng):
@@ -128,6 +118,22 @@ def test_parallel_grid_oracle_agreement_sweep():
             assert operator_norm(x + rep.witness * y) == pytest.approx(target, rel=1e-12)
         verdicts.add(oracle)
     assert verdicts == {True, False}
+
+
+def test_property_names_are_pinned_in_suite_order():
+    # a property's position sets its child stream, so a reorder would
+    # change every seeded result
+    assert property_names() == (
+        "norm-submultiplicative", "cstar-identity", "spectral-reconstruction",
+        "inner-product-axioms", "module-norm-consistency", "cauchy-schwarz-norm",
+        "cauchy-schwarz-state-gap", "face-attains-norm", "off-face-deficit",
+        "rho-p1", "rho-p2", "rho-p3", "rho-p4", "rho-p5", "rho-closed-vs-fd",
+        "rho-witness-attainment", "cube-identity", "daugavet-equation",
+        "daugavet-scaling", "daugavet-parallel", "operator-witness",
+        "bj-vs-grid-oracle", "bj-real-vs-grid-oracle", "strong-vs-sampling-oracle",
+        "implication-chains", "bj-norm-lower-bound", "relation-homogeneity",
+        "numrange-grid-agreement", "numrange-rotation-consistency",
+        "witness-validity", "two-by-two-reference", "incomparability")
 
 
 def test_property_suite_passes():
