@@ -4,9 +4,10 @@ For every module element, rho_plus(x, x<x,x>) = ||x||^4 = rho_minus, the
 combination alpha x + beta x<x,x> attains the full triangle bound
 alpha ||x|| + beta ||x||^3 for positive coefficients, and for a matrix T
 the equation ||T + T T* T|| = ||T|| + ||T||^3 comes with an aligned unit
-vector (a top right-singular vector).  In finite dimension the distance
-hypothesis of the operator statement (distance to the compacts below the
-norm) is automatic, so the witness always exists.
+vector (a top right-singular vector, the top eigenvector of T* T).  In
+finite dimension the distance hypothesis of the operator statement
+(distance to the compacts below the norm) is automatic, so the witness
+always exists.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
 from .hmodule import _unit
-from .matcore import _TINY, _norm, as_complex_matrix
+from .matcore import _norm, as_complex_matrix
 from .normderiv import _rho_extremes
-from .stateface import StateWitness, _face_state, _top_face
+from .stateface import StateWitness, _face_state, _unit_face
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,9 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     u<u,u> and <u, u<u,u>> = <u,u>^2, and scaled by ||x||^4 at output.
     ``within_tol``: both deviations are at most tol ||x||^4.
     """
-    nx, u = _unit(as_complex_matrix(x))
+    nx, u, face = _unit_face(as_complex_matrix(x))
     gram = u.conj().T @ u
     square = gram @ gram
-    face = _top_face(gram)
     hi, z_hi, lo, z_lo, _ = _rho_extremes(face, square)
     w_hi, w_lo = _face_state(face, z_hi), _face_state(face, z_lo)
     n4 = nx * nx * nx * nx
@@ -137,22 +137,20 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
 
     Returns a top right-singular vector x_o and checks ||T x_o|| = ||T||,
     ||T T* T x_o|| = ||T T* T|| = ||T||^3, and that T/||T|| and
-    TT*T/||TT*T|| agree on x_o.
-    Computed on S = T/||T||, for which T T* T = ||T||^3 S S* S.
+    TT*T/||TT*T|| agree on x_o.  ||T||, S = T/||T|| and x_o, the top
+    eigenvector of S* S, come from one eigensolve (:func:`_unit_face`);
+    T T* T = ||T||^3 S S* S.
     ``within_tol``: each residual is at most tol times its own scale,
     ||T||, ||T||^3, 1 (the alignment), ||T|| + ||T||^3 (the equation) and
     ||T||^3 (||T T* T||).
     """
-    t = as_complex_matrix(t)
-    _, svals, vh = np.linalg.svd(t, full_matrices=False)
-    nt = float(svals[0])
-    if nt < _TINY:
+    nt, s, face = _unit_face(as_complex_matrix(t))
+    if nt == 0.0:
         raise ZeroOperator("witness undefined for the zero operator")
     n3 = nt * nt * nt
     if n3 == np.inf:
         raise ValueError("||T||^3 beyond the double range")
-    s = t / nt
-    x_o = vh[0].conj()
+    x_o = face.isometry[:, 0]
     cube = s @ s.conj().T @ s
     nc = _norm(cube)
     sum_norm = nt * _norm(s + (nt * nt) * cube)

@@ -14,9 +14,10 @@ and that value is symmetric in the two arguments, so results stated for
 the first-variable-linear convention hold verbatim.
 
 Every relation is homogeneous in x and in y, so every pair operation
-starts from :func:`_unit_pair` and reads its result off the unit pair
-u = x/||x||, w = y/||y||.  The zero element (norm below the smallest
-normal double) scales to 0.
+reads its result off the unit pair u = x/||x||, w = y/||y||, from
+:func:`_unit_pair` or, where the top face of <x, x> is needed too, from
+``stateface._unit_face`` for x and :func:`_unit` for y.  The zero element
+(norm below the smallest normal double) scales to 0.
 """
 
 from __future__ import annotations

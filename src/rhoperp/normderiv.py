@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import NoConvergence
 from .hmodule import _unit_pair
-from .matcore import _norm, _spectrum
+from .matcore import _norm, _top_eigh
 from .stateface import StateWitness, _compress, _face_state, _reduce
 
 
@@ -39,9 +39,8 @@ def _rho_extremes(face, g):
     coordinates, of H = Re V* G V for the face V and G = <u, w> of a unit pair."""
     h = _compress(face, g)
     h = (h + h.conj().T) / 2.0
-    spec = _spectrum(h)
-    return (float(spec.eigenvalues[0]), spec.eigenvectors[:, 0],
-            float(spec.eigenvalues[-1]), spec.eigenvectors[:, -1], h)
+    vals, vecs = _top_eigh(h, len(h))
+    return float(vals[0]), vecs[:, 0], float(vals[-1]), vecs[:, -1], h
 
 
 def rho_plus(x, y) -> tuple[float, StateWitness]:

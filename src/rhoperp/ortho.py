@@ -40,11 +40,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _unit, _unit_pair
+from .hmodule import _as_pair, _unit, _unit_pair
 from .matcore import _finite, _norm, _spectrum, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
-                        _reduce, _top_face, _zero_in_numrange)
+                        _reduce, _unit_face, _zero_in_numrange)
 
 DEFAULT_TOL = 1e-9
 
@@ -174,11 +174,12 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     ``numerical_radius`` and ``face_dim``.  A zero x or y is parallel
     to everything, with xi = 1.
     """
-    nx, ny, u, w = _unit_pair(x, y)
+    x, y = _as_pair(x, y)
+    nx, u, face = _unit_face(x)
+    ny, w = _unit(y)
     if nx == 0.0 or ny == 0.0:
         return _report(Relation.PARALLEL, 0.0, tol, {"max_norm": nx + ny, "angle": 0.0},
                        lambda: 1.0 + 0.0j)
-    face = _top_face(u.conj().T @ u)
     comp = _compress(face, u.conj().T @ w)
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)

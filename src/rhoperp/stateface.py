@@ -27,9 +27,10 @@ the inverse field of values problem", Inverse Problems 25 (2009) 115019.
 A generic x gives a 1-by-1 compression [c], decided from W([c]) = {c}.
 
 Inputs are validated once, at public entry; the ``_``-kernels trust
-their arrays (complex128, finite, shapes matching).  The pair operations
-share :func:`_reduce`: the top face of u = x/||x|| and G = <u, w>,
-w = y/||y||.  A zero x gives u = 0, whose face is every state.
+their arrays (complex128, finite, shapes matching).  ||x||, u = x/||x||
+and the top face of <u, u> come from one eigensolve (:func:`_unit_face`),
+and the pair operations share :func:`_reduce`: that face and
+G = <u, w>, w = y/||y||.  A zero x gives u = 0, whose face is every state.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ import numpy as np
 from scipy.linalg.lapack import zggev
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
-from .hmodule import _unit, _unit_pair, inner_product
-from .matcore import (HERMITIAN_DRIFT_TOL, _finite, _norm, _spectrum,
-                      as_complex_matrix, operator_norm)
+from .hmodule import _as_pair, _unit, inner_product
+from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _norm, _prescaled,
+                      _top_eigh, as_complex_matrix, operator_norm)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -131,40 +132,54 @@ def top_face(x) -> TopFace:
     Eigenvalues within ``_FACE_GAP_TOL`` (relative) of the largest join
     the face.  Raises :class:`ZeroElement` only for the zero element, an
     x whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).  It
-    is the face of u = x/||x||, with eigenvalues scaled back by ||x||^2.
+    is the face of u = x/||x|| from :func:`_unit_face` (one eigensolve of
+    the exactly prescaled Gram matrix for both ||x|| and the face), with
+    eigenvalues scaled back by ||x||^2.
     """
-    nx, u = _unit(as_complex_matrix(x))
+    nx, _, face = _unit_face(as_complex_matrix(x))
     if nx == 0.0:
         raise ZeroElement("top face undefined for the zero element")
-    face = _top_face(u.conj().T @ u)
     n2 = nx * nx
     if n2 == np.inf:
         raise ValueError("||x||^2 beyond the double range")
-    return replace(face, lambda_max=face.lambda_max * n2, gap=face.gap * n2)
+    return replace(face, lambda_max=n2, gap=face.gap * n2)
 
 
-def _top_face(gram: np.ndarray) -> TopFace:
-    """Top face of a Gram matrix <x, x>; the zero Gram matrix gives the
-    whole space."""
-    spec = _spectrum(gram)
-    vals = spec.eigenvalues
-    lam_max = float(vals[0])
-    cut = (1.0 - _FACE_GAP_TOL) * lam_max
+def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
+    """(||x||, u = x/||x||, top face of <u, u>) for a trusted x, from one
+    eigensolve of the Gram matrix of xs = x/s, s the exact power of two of
+    :func:`_prescaled`: with lambda its largest eigenvalue, ||x|| =
+    s sqrt(lambda) and u = xs/sqrt(lambda), so 2^j x gives the same u.
+
+    The top two eigenpairs (:func:`_top_eigh`) decide the face, its gap
+    and its near-degeneracy flag, relative to lambda.  Only when every
+    returned eigenvalue joins the face and fewer than n were returned (a
+    degenerate face above the subset crossover) is the full spectrum
+    solved again.  An x of norm below the smallest normal double gives
+    (0.0, 0, the whole space).
+    """
+    xs, s = _prescaled(x)
+    gram = xs.conj().T @ xs
+    n = gram.shape[0]
+    vals, vecs = _top_eigh(gram, 2)
+    lam = float(vals[0])
+    root = math.sqrt(lam)
+    nx = s * root
+    if nx == np.inf:
+        raise ValueError("module norm beyond the double range")
+    if nx < _TINY:
+        return 0.0, np.zeros_like(xs), TopFace(np.eye(n, dtype=np.complex128), 0.0,
+                                               np.inf, _FACE_GAP_TOL, False)
+    cut = (1.0 - _FACE_GAP_TOL) * lam
     k = int(np.sum(vals >= cut))
-    n = vals.shape[0]
+    if k == len(vals) < n:
+        vals, vecs = _top_eigh(gram, n)
+        k = int(np.sum(vals >= cut))
+    gap, near = np.inf, False
     if k < n:
-        gap = lam_max - float(vals[k])
-        near = bool(vals[k] >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam_max)
-    else:
-        gap = np.inf
-        near = False
-    return TopFace(
-        isometry=spec.eigenvectors[:, :k].copy(),
-        lambda_max=lam_max,
-        gap=gap,
-        gap_tol=_FACE_GAP_TOL,
-        near_degenerate=near,
-    )
+        gap = (lam - float(vals[k])) / lam
+        near = bool(vals[k] >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam)
+    return nx, xs / root, TopFace(vecs[:, :k], 1.0, gap, _FACE_GAP_TOL, near)
 
 
 def state_value(p: StateWitness, a) -> complex:
@@ -191,10 +206,15 @@ def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
 
 
 def _reduce(x, y) -> tuple[float, float, TopFace, np.ndarray]:
-    """(||x||, ||y||, top face of u, G = <u, w>) for the unit pair of
-    :func:`_unit_pair`; every relation is read off the face and G."""
-    nx, ny, u, w = _unit_pair(x, y)
-    return nx, ny, _top_face(u.conj().T @ u), u.conj().T @ w
+    """(||x||, ||y||, top face of u, G = <u, w>) for the validated pair:
+    ||x||, u and the face from the top two eigenpairs of the exactly
+    prescaled Gram matrix of x, grown to the full spectrum only for a
+    degenerate face above the subset crossover (:func:`_unit_face`); ||y||
+    and w = y/||y|| from one SVD.  Every relation is read off the face and G."""
+    x, y = _as_pair(x, y)
+    nx, u, face = _unit_face(x)
+    ny, w = _unit(y)
+    return nx, ny, face, u.conj().T @ w
 
 
 def state_from_face_vector(face: TopFace, zeta) -> StateWitness:

@@ -24,7 +24,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from .daugavet import (module_daugavet_check, operator_daugavet_witness,
                        rho_cube_identity)
-from .hmodule import inner_product, module_action, module_norm
+from .hmodule import _as_pair, inner_product, module_action, module_norm
 from .matcore import adjoint, hermitian_spectrum, operator_norm
 from .normderiv import rho_fd, rho_pair
 from .ortho import (bhatia_semrl_witness, is_bj, is_bj_real, is_bj_strong,
@@ -129,6 +129,7 @@ def _batched_norms(x, lams, y):
 def bj_grid_oracle(x, y) -> bool:
     """Search min ||x + lam y|| over a polar grid of complex lam with local
     refinement; FALSE certifies non-orthogonality, TRUE is evidence."""
+    x, y = _as_pair(x, y)
     radii = np.logspace(-4, np.log10(_ORACLE_RADIUS), _ORACLE_GRID)
     angles = np.linspace(0.0, 2.0 * np.pi, _ORACLE_GRID, endpoint=False)
     lams = (radii[:, None] * np.exp(1j * angles)[None, :]).ravel()
@@ -144,6 +145,7 @@ def bj_grid_oracle(x, y) -> bool:
 
 def bj_real_grid_oracle(x, y) -> bool:
     """Real-scalar variant of :func:`bj_grid_oracle`."""
+    x, y = _as_pair(x, y)
     mags = np.logspace(-4, np.log10(_ORACLE_RADIUS), _ORACLE_GRID)
     alphas = np.concatenate([-mags[::-1], [0.0], mags])
     norms = _batched_norms(x, alphas.astype(complex), y)
@@ -166,6 +168,7 @@ def parallel_grid_oracle(x, y) -> tuple[float, float]:
     angle with constant ||y||.  A max_norm short of ||x|| + ||y|| by more
     than the grid error certifies non-parallelism.
     """
+    x, y = _as_pair(x, y)
     thetas = np.linspace(0.0, 2.0 * np.pi, _PARALLEL_GRID, endpoint=False)
     vals = _batched_norms(x, np.exp(1j * thetas), y)
     step = 2.0 * np.pi / _PARALLEL_GRID
@@ -193,6 +196,7 @@ def strong_bj_sample_oracle(x, y) -> bool:
     the aimed one-parameter family a = -c <y, x>, the canonical violator
     direction.  FALSE certifies a violation, TRUE is sampling evidence.
     """
+    x, y = _as_pair(x, y)
     rng = np.random.default_rng(_SAMPLE_SEED)
     n = x.shape[1]
     best = np.inf

@@ -16,7 +16,7 @@ from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_norm_parallel, is_rho_orthogonal,
                      operator_daugavet_witness, rho_cube_identity, rho_pair,
                      state_from_face_vector, top_face, zero_in_numrange)
-from rhoperp import stateface
+from rhoperp import matcore, stateface
 from rhoperp.stateface import zggev
 from rhoperp.verify import (bj_orthogonal_pair, random_degenerate_element,
                             random_element)
@@ -25,6 +25,10 @@ PAIR_OPS = (rho_pair, is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong,
             is_rho_orthogonal, is_norm_parallel, bhatia_semrl_witness)
 
 LAPACK = ("svd", "eigh", "eigvalsh")
+
+# The LAPACK drivers of the matcore choke point, each counted with the
+# numpy.linalg call it stands for.
+CHOKE_POINT = {"zgesdd": "svd", "zheevr": "eigh", "zheevd": "eigh"}
 
 
 def _with_nan(a):
@@ -35,10 +39,20 @@ def _with_nan(a):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of numpy.linalg calls, of calls on a stack of matrices, and
-    of the level-set pencil solves (``pencil``) of the support search."""
+    """Counts of LAPACK calls: at the matcore choke point (zgesdd as
+    ``svd``, zheevr and zheevd as ``eigh``) and through numpy.linalg, of
+    numpy.linalg calls on a stack of matrices (``batched``), and of the
+    level-set pencil solves (``pencil``) of the support search."""
     counts = {f: 0 for f in LAPACK}
     counts["batched"] = 0
+    for name, f in CHOKE_POINT.items():
+        orig = getattr(matcore, name)
+
+        def driver(*args, _f=f, _orig=orig, **kwargs):
+            counts[_f] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(matcore, name, driver)
     for f in LAPACK:
         orig = getattr(np.linalg, f)
 
@@ -158,14 +172,14 @@ def test_bhatia_semrl_witness_makes_no_redundant_lapack_work(real, lapack_calls)
 
 
 def test_bj_strong_takes_one_svd_beyond_the_face(lapack_calls):
-    # the two norms, the face, and sigma_min(G* V) by SVD: no eigh of the
-    # compressed Gram product V* G G* V
+    # ||y||, then ||x|| with the face from one eigensolve, and sigma_min(G* V)
+    # by SVD: no eigh of the compressed Gram product V* G G* V
     rng = np.random.default_rng(50)
     for x, y in ((random_element(rng, 4, 4), random_element(rng, 4, 4)),
                  _two_dim_face_bj_pair()):
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         is_bj_strong(x, y)
-        assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (3, 1, 0)
+        assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (2, 1, 0)
 
 
 def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
@@ -173,28 +187,40 @@ def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
     for f in LAPACK:
         lapack_calls[f] = 0
     rho_cube_identity(x)
-    # one norm, one face, one compression spectrum
-    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (1, 2, 0)
+    # the norm with the face from one eigensolve, one compression spectrum
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, 2, 0)
     for f in LAPACK:
         lapack_calls[f] = 0
     operator_daugavet_witness(x)
-    # one thin SVD of T, then the norms of T T* T and of T + T T* T
-    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (3, 0, 0)
+    # ||T|| and x_o from one eigensolve, then the norms of T T* T and of
+    # T + T T* T
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (2, 1, 0)
 
 
-def test_operator_witness_takes_a_thin_svd(monkeypatch):
-    # on a tall T a full SVD would also build an m-by-m U that nothing reads
-    modes = []
-    svd = np.linalg.svd
+def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
+    # ||T|| and x_o come from the top of the n-by-n Gram matrix of T, one
+    # subset solve above the crossover, and no SVD builds singular vectors
+    t = random_element(np.random.default_rng(47), 40, 12)
+    sigma = np.linalg.svd(t, compute_uv=False)[0]
+    subsets, full, vectors = [], [], []
+    zheevr, zgesdd = matcore.zheevr, matcore.zgesdd
 
-    def recorded(a, full_matrices=True, compute_uv=True, **kwargs):
-        if compute_uv:
-            modes.append(full_matrices)
-        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+    def subset(a, **kwargs):
+        subsets.append((a.shape, kwargs["range"], kwargs["il"], kwargs["iu"]))
+        return zheevr(a, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", recorded)
-    operator_daugavet_witness(random_element(np.random.default_rng(47), 12, 3))
-    assert modes == [False]
+    def values(a, compute_uv=1, **kwargs):
+        vectors.append(compute_uv)
+        return zgesdd(a, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(matcore, "zheevr", subset)
+    monkeypatch.setattr(matcore, "zheevd", lambda *a, **k: full.append(a))
+    monkeypatch.setattr(matcore, "zgesdd", values)
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: vectors.append(1))
+    rep = operator_daugavet_witness(t)
+    assert subsets == [((12, 12), "I", 11, 12)] and full == []
+    assert vectors == [0, 0]
+    assert rep.within_tol and abs(rep.norm_t - sigma) <= 1e-13 * sigma
 
 
 def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from rhoperp import (bj_grid_oracle, bj_real_grid_oracle, inner_product,
-                     is_bj, is_bj_real, is_norm_parallel, module_norm,
-                     operator_norm, parallel_grid_oracle, property_names,
-                     property_suite, strong_bj_sample_oracle)
+from rhoperp import (ShapeMismatch, bj_grid_oracle, bj_real_grid_oracle,
+                     inner_product, is_bj, is_bj_real, is_norm_parallel,
+                     module_norm, operator_norm, parallel_grid_oracle,
+                     property_names, property_suite, strong_bj_sample_oracle)
+from rhoperp import matcore
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
                             random_element)
@@ -32,6 +33,29 @@ def test_bj_grid_oracle_complex_scalar_violation():
     x = np.array([[1.0], [0.0]])
     y = np.array([[1.0j], [0.0]])
     assert not bj_grid_oracle(x, y)
+
+
+@pytest.mark.parametrize("oracle, expected", [
+    (bj_grid_oracle, False), (bj_real_grid_oracle, True),
+    (strong_bj_sample_oracle, False), (parallel_grid_oracle, 2.0),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
+    # the oracles take lists, raise ShapeMismatch and reject NaN like every
+    # public operation, and norm by SVD alone: no eigensolve of the
+    # spectral code they check
+    def no_eigensolve(*args, **kwargs):
+        raise AssertionError("an oracle called a matcore eigensolver")
+
+    monkeypatch.setattr(matcore, "zheevr", no_eigensolve)
+    monkeypatch.setattr(matcore, "zheevd", no_eigensolve)
+    x, y = [[1.0], [0.0]], [[1.0j], [0.0]]
+    result = oracle(x, y)
+    assert (result[0] == pytest.approx(expected, abs=1e-9) if isinstance(result, tuple)
+            else result is expected)
+    with pytest.raises(ShapeMismatch):
+        oracle(np.eye(2), np.eye(3))
+    with pytest.raises(ValueError):
+        oracle([[np.nan], [0.0]], y)
 
 
 def test_bj_grid_oracle_orthogonal_instances():
