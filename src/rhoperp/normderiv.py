@@ -58,7 +58,7 @@ def rho_minus(x, y) -> tuple[float, StateWitness]:
 def rho_pair(x, y) -> DerivativePair:
     """Both derivatives at once, sharing one face computation; for x = 0
     both are 0, attained by every state."""
-    nx, ny, face, g = _reduce(x, y)
+    nx, ny, _, _, face, g = _reduce(x, y)
     hi, z_hi, lo, z_lo, _ = _rho_extremes(face, g)
     if not lo <= hi:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")

@@ -40,11 +40,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _as_pair, _unit, _unit_pair
+from .hmodule import _unit, _unit_pair
 from .matcore import _finite, _norm, _spectrum, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
-                        _reduce, _unit_face, _zero_in_numrange)
+                        _reduce, _zero_in_numrange)
 
 DEFAULT_TOL = 1e-9
 
@@ -95,7 +95,7 @@ def _bj_decision(x, y, tol: float, real: bool):
     :func:`bhatia_semrl_witness`: z() is the unit face vector of the
     witness; for bj the certificate of 0 in W(V* G V) at slack tol, for
     bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
-    nx, ny, face, g = _reduce(x, y)
+    nx, ny, _, _, face, g = _reduce(x, y)
     if real:
         hi, z_hi, lo, z_lo, h = _rho_extremes(face, g)
         return (face, min(hi, -lo), lambda: _carden_step(h, z_hi, z_lo, 0.0),
@@ -140,7 +140,7 @@ def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     for a unit z.  The margin is -sigma_min(G* V), in [-1, 0], from one SVD
     of the n-by-k G* V; the witness is the state of its right singular vector.
     """
-    nx, ny, face, g = _reduce(x, y)
+    nx, ny, _, _, face, g = _reduce(x, y)
     _, svals, vh = np.linalg.svd(g.conj().T @ face.isometry, full_matrices=False)
     sigma = float(svals[-1])
     return _report(Relation.BJ_STRONG, -sigma, tol,
@@ -153,7 +153,7 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 
     The margin is -|lambda_max + lambda_min|/2 of Re V* G V, in [-1, 0].
     """
-    nx, ny, face, g = _reduce(x, y)
+    nx, ny, _, _, face, g = _reduce(x, y)
     hi, _, lo, _, _ = _rho_extremes(face, g)
     return _report(Relation.RHO, -abs(hi + lo) / 2.0, tol,
                    {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
@@ -174,13 +174,11 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     ``numerical_radius`` and ``face_dim``.  A zero x or y is parallel
     to everything, with xi = 1.
     """
-    x, y = _as_pair(x, y)
-    nx, u, face = _unit_face(x)
-    ny, w = _unit(y)
+    nx, ny, u, w, face, g = _reduce(x, y)
     if nx == 0.0 or ny == 0.0:
         return _report(Relation.PARALLEL, 0.0, tol, {"max_norm": nx + ny, "angle": 0.0},
                        lambda: 1.0 + 0.0j)
-    comp = _compress(face, u.conj().T @ w)
+    comp = _compress(face, g)
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)
     xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j

@@ -205,16 +205,17 @@ def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
     return v.conj().T @ a @ v
 
 
-def _reduce(x, y) -> tuple[float, float, TopFace, np.ndarray]:
-    """(||x||, ||y||, top face of u, G = <u, w>) for the validated pair:
-    ||x||, u and the face from the top two eigenpairs of the exactly
-    prescaled Gram matrix of x, grown to the full spectrum only for a
-    degenerate face above the subset crossover (:func:`_unit_face`); ||y||
-    and w = y/||y|| from one SVD.  Every relation is read off the face and G."""
+def _reduce(x, y) -> tuple[float, float, np.ndarray, np.ndarray, TopFace, np.ndarray]:
+    """(||x||, ||y||, u, w, top face of u, G = <u, w>) for the validated
+    pair: ||x||, u = x/||x|| and the face from the top two eigenpairs of the
+    exactly prescaled Gram matrix of x, grown to the full spectrum only for
+    a degenerate face above the subset crossover (:func:`_unit_face`);
+    ||y|| and w = y/||y|| from one SVD.  Every relation is read off the
+    face and G."""
     x, y = _as_pair(x, y)
     nx, u, face = _unit_face(x)
     ny, w = _unit(y)
-    return nx, ny, face, u.conj().T @ w
+    return nx, ny, u, w, face, u.conj().T @ w
 
 
 def state_from_face_vector(face: TopFace, zeta) -> StateWitness:

@@ -12,6 +12,7 @@ from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      is_norm_parallel, maximally_mixed, module_norm,
                      operator_norm, state_from_face_vector, state_value,
                      top_face, zero_in_numrange)
+from rhoperp.matcore import _SUBSET_ABOVE, hermitian_spectrum
 from rhoperp.stateface import (_UNIMODULAR_TOL, _carden_step, _minimize_support,
                                _numerical_radius, _support_extremum,
                                _unimodular_eigvals)
@@ -70,6 +71,52 @@ def test_top_face_degenerate_flagged_dimension():
     assert top_face(1e-160 * x).dim == top_face(1e-170 * x).dim == 2
     with pytest.raises(ValueError):
         top_face(1e160 * x)
+
+
+def _near_degenerate_element(rng, m, n):
+    # lambda_2 = (1 - 6e-10) lambda_1: below the face cut, within 10 gap_tol
+    u, s, vh = np.linalg.svd(random_element(rng, m, n), full_matrices=False)
+    s[1] = s[0] * np.sqrt(1.0 - 6e-10)
+    return (u * s) @ vh
+
+
+@pytest.mark.parametrize("make, dim, near, solves", [
+    (lambda rng: random_element(rng, 12, 10), 1, False, [2]),
+    (lambda rng: random_element(rng, 9, 12), 1, False, [2]),
+    (lambda rng: random_degenerate_element(rng, 12, 10, 2), 2, False, [2, 10]),
+    (lambda rng: random_degenerate_element(rng, 12, 10, 3), 3, False, [2, 10]),
+    (lambda rng: _near_degenerate_element(rng, 12, 10), 1, True, [2]),
+], ids=["generic", "rank-deficient", "dim-2", "dim-3", "near-degenerate"])
+def test_top_face_above_the_subset_crossover_matches_the_full_spectrum(
+        monkeypatch, make, dim, near, solves):
+    # above the crossover the face is read from the top two eigenpairs and
+    # grown to the full spectrum only when both join it; it must be the
+    # face that the full spectrum of <x, x> gives
+    asked = []
+
+    def top_eigh(h, j):
+        asked.append(j)
+        return real_top_eigh(h, j)
+
+    real_top_eigh = stateface._top_eigh
+    monkeypatch.setattr(stateface, "_top_eigh", top_eigh)
+    for seed in range(5):
+        x = make(np.random.default_rng(seed))
+        assert x.shape[1] > _SUBSET_ABOVE
+        asked.clear()
+        face = top_face(x)
+        assert asked == solves
+
+        spec = hermitian_spectrum(inner_product(x, x))
+        vals, vecs = spec.eigenvalues, spec.eigenvectors
+        lam = vals[0]
+        k = int(np.sum(vals >= (1.0 - face.gap_tol) * lam))
+        assert face.dim == k == dim
+        assert face.lambda_max == pytest.approx(lam, rel=1e-12)
+        assert face.gap == pytest.approx(lam - vals[k], rel=1e-9)
+        assert face.near_degenerate == near == bool(vals[k] >= (1.0 - 10.0 * face.gap_tol) * lam)
+        overlap = face.isometry.conj().T @ vecs[:, :k]
+        assert np.linalg.svd(overlap, compute_uv=False)[-1] >= 1.0 - 1e-9
 
 
 def test_top_face_rejects_zero():
