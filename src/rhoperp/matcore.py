@@ -1,20 +1,21 @@
 """Dense complex-matrix kernel: adjoint, Hermitian spectra, operator norm.
 
-Every LAPACK call on a whole matrix goes through one choke point here:
+Every LAPACK call of the decision code goes through one choke point here:
 
 * :func:`_norm`, the largest singular value, from one ``zgesdd`` without
-  vectors (an SVD, so that the brute-force oracles' norms stay
-  independent of the eigensolves they check);
+  vectors (an SVD, so the oracles' norms stay apart from the eigensolves);
+* :func:`_min_singular`, the smallest singular pair, from one ``zgesdd``;
 * :func:`_top_eigh`, the top j eigenpairs of a Hermitian matrix, from one
-  ``zheevd`` (the full spectrum) up to order ``_SUBSET_ABOVE`` and one
-  subset ``zheevr`` (exactly j pairs) above it, with ``zheevd`` taken
-  instead whenever ``zheevr`` reports failure or returns fewer than j;
-* :func:`_prescaled`, the division by an exact power of two that keeps
-  a Gram matrix x* x from over- or underflowing at any scale.
+  ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset ``zheevr`` above
+  it (``zheevd`` again when ``zheevr`` fails or returns fewer than j);
+* :func:`_rotated_top`, the top eigenvalues (or eigenvectors) of the
+  rotations (e^{it} M + e^{-it} M*)/2, from one batched ``eigvalsh`` (``eigh``);
+* :func:`_pencil`, the eigenvalues of a pencil, from one ``zggev`` (QZ);
+* :func:`_prescaled`, the exact power-of-two division that keeps a Gram
+  matrix x* x from over- or underflowing at any scale.
 
 Inputs are validated once, at public entry; the ``_``-kernels trust
-their arrays (complex128, 2-d, and Hermitian by construction for
-``_spectrum`` and ``_top_eigh``).
+their arrays (complex128, 2-d; Hermitian by construction for ``_top_eigh``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgesdd, zheevd, zheevr
+from numpy.linalg import eigh, eigvalsh
+from scipy.linalg.lapack import zgesdd, zggev, zheevd, zheevr
 
 from .errors import NonHermitianInput
 
@@ -73,10 +75,21 @@ def _norm(m: np.ndarray) -> float:
     return float(sv[0])
 
 
+def _min_singular(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """(sigma_min, v) for a trusted n-by-k m, n >= k: ||m v|| = sigma_min
+    for the unit right singular vector v, from one zgesdd with vectors."""
+    _, sv, vt, info = zgesdd(m, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
+    return float(sv[-1]), vt[-1].conj()
+
+
 def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """(values, vectors): at least the j largest eigenpairs of a trusted
-    Hermitian h (its lower triangle is read), values descending, ties kept
-    in LAPACK's order, column i of vectors a unit eigenvector for value i.
+    Hermitian h (its lower triangle is read), values descending, column i
+    of vectors a unit eigenvector for value i.  Both are reversed views of
+    LAPACK's ascending output, so exactly equal eigenvalues come in the
+    reverse of LAPACK's order; any basis of their eigenspace is valid.
 
     One LAPACK call: the full spectrum from zheevd at order up to
     ``_SUBSET_ABOVE`` or for j >= n, else exactly j pairs from zheevr
@@ -88,17 +101,32 @@ def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     if _SUBSET_ABOVE < n and j < n:
         vals, vecs, m, _, info = zheevr(h, range="I", il=n - j + 1, iu=n, lower=1)
         if info == 0 and m == j:
-            return _descending(vals[:j], vecs)
+            return vals[j - 1::-1], vecs[:, ::-1]
     vals, vecs, info = zheevd(h, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
-    return _descending(vals, vecs)
+    return vals[::-1], vecs[:, ::-1]
 
 
-def _descending(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # stable, so that a degenerate block keeps the factorization's basis order
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+def _rotated_top(m: np.ndarray, thetas: np.ndarray, vectors: bool = False) -> np.ndarray:
+    """lambda_max of (e^{it} M + e^{-it} M*)/2 for each angle t of thetas, a
+    trusted square m, from one eigvalsh on the stack of rotations; with
+    ``vectors``, row i a unit top eigenvector for angle i, from one eigh."""
+    ph = np.exp(1j * thetas).reshape(-1, 1, 1)
+    stack = (ph * m + ph.conj() * m.conj().T) / 2.0
+    return eigh(stack)[1][..., -1] if vectors else eigvalsh(stack)[:, -1]
+
+
+def _pencil(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(alpha, beta), the eigenvalues alpha/beta of the pencil z B - A, from
+    one zggev without vectors at its minimal workspace (A and B are kept);
+    beta = 0 marks an infinite, alpha = beta = 0 an undetermined eigenvalue."""
+    alpha, beta, _, _, _, info = zggev(a, b, compute_vl=0, compute_vr=0)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of zggev")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"zggev did not converge (info={info})")
+    return alpha, beta
 
 
 def _prescaled(m: np.ndarray) -> tuple[np.ndarray, float]:
@@ -136,15 +164,7 @@ def hermitian_spectrum(h) -> HermitianSpectrum:
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix of shape {m.shape} is not square")
     drift = operator_norm(m - m.conj().T)
-    if drift > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(m)):
+    if drift > HERMITIAN_DRIFT_TOL * operator_norm(m):
         raise NonHermitianInput(f"matrix deviates from Hermitian by {drift:.3e} "
                                 f"(relative tol {HERMITIAN_DRIFT_TOL:.1e})")
-    return _spectrum(m)
-
-
-def _spectrum(m: np.ndarray) -> HermitianSpectrum:
-    """Spectrum of the Hermitian part (m + m*)/2, without the drift check
-    of :func:`hermitian_spectrum`: for matrices Hermitian by construction
-    (x* x) up to rounding, and for Re V* G V."""
-    vals, vecs = _top_eigh((m + m.conj().T) / 2.0, m.shape[0])
-    return HermitianSpectrum(vals, vecs)
+    return HermitianSpectrum(*_top_eigh((m + m.conj().T) / 2.0, len(m)))

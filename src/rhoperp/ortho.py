@@ -40,8 +40,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _unit, _unit_pair
-from .matcore import _finite, _norm, _spectrum, as_complex_matrix
+from .hmodule import _unit_pair
+from .matcore import _finite, _min_singular, _norm, _prescaled, _top_eigh, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
                         _reduce, _zero_in_numrange)
@@ -141,11 +141,10 @@ def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     of the n-by-k G* V; the witness is the state of its right singular vector.
     """
     nx, ny, _, _, face, g = _reduce(x, y)
-    _, svals, vh = np.linalg.svd(g.conj().T @ face.isometry, full_matrices=False)
-    sigma = float(svals[-1])
+    sigma, z = _min_singular(g.conj().T @ face.isometry)
     return _report(Relation.BJ_STRONG, -sigma, tol,
                    {"annihilation_value": sigma * sigma * nx * ny * nx * ny},
-                   lambda: _face_state(face, vh[-1].conj()))
+                   lambda: _face_state(face, z))
 
 
 def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
@@ -172,12 +171,13 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     radius (1 when v* C v = 0); ``data`` holds ``max_norm`` =
     ||x + xi y||, attained at ``angle`` = arg xi, together with
     ``numerical_radius`` and ``face_dim``.  A zero x or y is parallel
-    to everything, with xi = 1.
+    to everything, with xi = 1 and a numerical radius of 0.
     """
     nx, ny, u, w, face, g = _reduce(x, y)
     if nx == 0.0 or ny == 0.0:
-        return _report(Relation.PARALLEL, 0.0, tol, {"max_norm": nx + ny, "angle": 0.0},
-                       lambda: 1.0 + 0.0j)
+        return _report(Relation.PARALLEL, 0.0, tol,
+                       {"max_norm": nx + ny, "angle": 0.0, "numerical_radius": 0.0,
+                        "face_dim": face.dim}, lambda: 1.0 + 0.0j)
     comp = _compress(face, g)
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)
@@ -190,9 +190,11 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 
 
 def m_lower_bound(y) -> float:
-    """inf phi(<y, y>) over all states: ||y||^2 lambda_min(<w, w>), w = y/||y||."""
-    ny, w = _unit(as_complex_matrix(y))
-    low = float(_spectrum(w.conj().T @ w).eigenvalues[-1]) * ny * ny
+    """inf phi(<y, y>) over all states: lambda_min(<y, y>) = s^2 lambda_min(<ys, ys>),
+    ys = y/s for the exact power of two s of ``matcore._prescaled``."""
+    ys, s = _prescaled(as_complex_matrix(y))
+    gram = ys.conj().T @ ys
+    low = float(_top_eigh(gram, len(gram))[0][-1]) * s * s
     if abs(low) == np.inf:
         raise ValueError("lambda_min(<y, y>) beyond the double range")
     return low

@@ -16,7 +16,7 @@ The decision minimizes the support function
 convex set this minimum is the signed distance from 0 to the boundary of
 the range; its maximum is the numerical radius w(M).  Both come from one
 level-set search, with no angle grid (:func:`_support_extremum`), each
-level one QZ solve by a direct LAPACK ``zggev`` call.  Where 0
+level one QZ solve of a pencil (``matcore._pencil``).  Where 0
 lies on or beyond an edge of W(M) the minimum is a kink of g; the search
 also tries, on each arc between level-set angles, the normal of the chord
 between the arc's two boundary points, which lands on such a kink at once.
@@ -27,10 +27,8 @@ the inverse field of values problem", Inverse Problems 25 (2009) 115019.
 A generic x gives a 1-by-1 compression [c], decided from W([c]) = {c}.
 
 Inputs are validated once, at public entry; the ``_``-kernels trust
-their arrays (complex128, finite, shapes matching).  ||x||, u = x/||x||
-and the top face of <u, u> come from one eigensolve (:func:`_unit_face`),
-and the pair operations share :func:`_reduce`: that face and
-G = <u, w>, w = y/||y||.  A zero x gives u = 0, whose face is every state.
+their arrays (complex128, finite, shapes matching).  The pair operations
+share :func:`_reduce`.  A zero x gives u = 0, whose face is every state.
 """
 
 from __future__ import annotations
@@ -39,12 +37,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import zggev
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _norm, _prescaled,
-                      _top_eigh, as_complex_matrix, operator_norm)
+from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _norm, _pencil, _prescaled,
+                      _rotated_top, _top_eigh, as_complex_matrix, operator_norm)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -93,9 +90,9 @@ class StateWitness:
             raise ShapeMismatch(f"density of shape {d.shape} is not square")
         if operator_norm(d - d.conj().T) > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(d)):
             raise ValueError("density must be Hermitian")
-        eigs = np.linalg.eigvalsh((d + d.conj().T) / 2.0)
-        if eigs[0] < -1e-10:
-            raise ValueError(f"density has negative eigenvalue {eigs[0]:.3e}")
+        low = _top_eigh((d + d.conj().T) / 2.0, len(d))[0][-1]
+        if low < -1e-10:
+            raise ValueError(f"density has negative eigenvalue {low:.3e}")
         _check_trace(d)
         object.__setattr__(self, "density", d)
 
@@ -132,9 +129,8 @@ def top_face(x) -> TopFace:
     Eigenvalues within ``_FACE_GAP_TOL`` (relative) of the largest join
     the face.  Raises :class:`ZeroElement` only for the zero element, an
     x whose norm is 0 or subnormal (below ``np.finfo(float).tiny``).  It
-    is the face of u = x/||x|| from :func:`_unit_face` (one eigensolve of
-    the exactly prescaled Gram matrix for both ||x|| and the face), with
-    eigenvalues scaled back by ||x||^2.
+    is the face of u = x/||x|| from :func:`_unit_face`, with eigenvalues
+    scaled back by ||x||^2.
     """
     nx, _, face = _unit_face(as_complex_matrix(x))
     if nx == 0.0:
@@ -207,11 +203,8 @@ def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
 
 def _reduce(x, y) -> tuple[float, float, np.ndarray, np.ndarray, TopFace, np.ndarray]:
     """(||x||, ||y||, u, w, top face of u, G = <u, w>) for the validated
-    pair: ||x||, u = x/||x|| and the face from the top two eigenpairs of the
-    exactly prescaled Gram matrix of x, grown to the full spectrum only for
-    a degenerate face above the subset crossover (:func:`_unit_face`);
-    ||y|| and w = y/||y|| from one SVD.  Every relation is read off the
-    face and G."""
+    pair: ||x||, u = x/||x|| and the face from :func:`_unit_face`, ||y||
+    and w = y/||y|| from one SVD.  Every relation is read off the face and G."""
     x, y = _as_pair(x, y)
     nx, u, face = _unit_face(x)
     ny, w = _unit(y)
@@ -259,24 +252,11 @@ class NumRangeCertificate:
     residual: float | None
 
 
-def _support_values(m: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """lambda_max(Re(e^{it} M)) for a batch of angles."""
-    ph = np.exp(1j * thetas).reshape(-1, 1, 1)
-    stack = (ph * m + ph.conj() * m.conj().T) / 2.0
-    return np.linalg.eigvalsh(stack)[:, -1]
-
-
 def _unimodular_eigvals(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Eigenvalues z = alpha/beta of the pencil z B - A with ||z| - 1| within
-    _UNIMODULAR_TOL, from one LAPACK zggev (QZ) call at its minimal
-    workspace, which leaves A and B as they were.  Only beta != 0 is
-    divided: the infinite and the undetermined (alpha = beta = 0, a singular
-    pencil) eigenvalues are never unimodular."""
-    alpha, beta, _, _, _, info = zggev(pa, pb, compute_vl=0, compute_vr=0)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of zggev")
-    if info > 0:
-        raise np.linalg.LinAlgError(f"zggev did not converge (info={info})")
+    """Eigenvalues z = alpha/beta of the pencil z B - A (``matcore._pencil``)
+    with ||z| - 1| within _UNIMODULAR_TOL.  Only beta != 0 is divided: the
+    infinite and the undetermined (alpha = beta = 0) are never unimodular."""
+    alpha, beta = _pencil(pa, pb)
     finite = beta != 0.0
     z = alpha[finite] / beta[finite]
     return z[np.abs(np.abs(z) - 1.0) <= _UNIMODULAR_TOL]
@@ -289,11 +269,10 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     Level sets (Mengi and Overton 2005): the angles where gamma is an
     eigenvalue of Re(e^{it} M) are the unimodular eigenvalues z = e^{it} of
     z^2 M - 2 gamma z I + M*, by QZ on a linearisation (scaled by ||M||_F so
-    that its blocks balance) that allows a singular M: one LAPACK zggev call
-    per level, its z = alpha/beta formed only where beta != 0
-    (:func:`_unimodular_eigvals`).  On each arc between
-    them and t, h - gamma keeps one sign, so at gamma = h(t) the best arc
-    midpoint improves on t unless t is extreme.  A minimum may sit on a kink
+    that its blocks balance) that allows a singular M: one QZ solve per
+    level (:func:`_unimodular_eigvals`).  On each arc between them and t,
+    h - gamma keeps one sign, so at gamma = h(t) the best arc midpoint
+    improves on t unless t is extreme.  A minimum may sit on a kink
     of h, at the normal e^{-it} of an edge of W(M), where h is the larger of
     the sinusoids Re(e^{it} p) of the edge's ends p.  So each arc also offers
     the angle where the sinusoids of the boundary points p1, p2 at its ends
@@ -313,7 +292,7 @@ def _support_extremum(m: np.ndarray, sign: float) -> tuple[float, float]:
     t, best, slack = 0.0, -np.inf, 4.0 * np.finfo(float).eps * scale
     ts = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     while True:
-        vals = sign * _support_values(m, ts)
+        vals = sign * _rotated_top(m, ts)
         i = int(np.argmax(vals))
         if vals[i] <= best + slack:
             break
@@ -365,11 +344,10 @@ def _support_points(m: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.
     """Boundary points of W(M) with the given outward normal angles.
 
     The point with outward normal e^{i nu} is v* M v for the top
-    eigenvector v of Re(e^{-i nu} M); all angles share one eigh call.
+    eigenvector v of Re(e^{-i nu} M); all angles share one batched eigh
+    (``matcore._rotated_top``).
     """
-    ph = np.exp(-1j * normals).reshape(-1, 1, 1)
-    _, vecs = np.linalg.eigh((ph * m + ph.conj() * m.conj().T) / 2.0)
-    v = vecs[..., -1]
+    v = _rotated_top(m, -normals, vectors=True)
     return np.einsum("ti,ij,tj->t", v.conj(), m, v), v
 
 

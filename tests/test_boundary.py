@@ -8,16 +8,18 @@ scalar face) creeps back in, or if the level-set search of the support
 function grows into an angle grid.
 """
 
+import ast
+import importlib
+
 import numpy as np
 import pytest
 
 from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
-                     is_norm_parallel, is_rho_orthogonal,
+                     is_norm_parallel, is_rho_orthogonal, m_lower_bound,
                      operator_daugavet_witness, rho_cube_identity, rho_pair,
                      state_from_face_vector, top_face, zero_in_numrange)
-from rhoperp import matcore, stateface
-from rhoperp.stateface import zggev
+from rhoperp import matcore
 from rhoperp.verify import (bj_orthogonal_pair, random_degenerate_element,
                             random_element)
 
@@ -27,8 +29,10 @@ PAIR_OPS = (rho_pair, is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong,
 LAPACK = ("svd", "eigh", "eigvalsh")
 
 # The LAPACK drivers of the matcore choke point, each counted with the
-# numpy.linalg call it stands for.
-CHOKE_POINT = {"zgesdd": "svd", "zheevr": "eigh", "zheevd": "eigh"}
+# numpy.linalg call it stands for; zggev, the QZ solve of the support
+# search's level sets, is counted as ``pencil``.
+CHOKE_POINT = {"zgesdd": "svd", "zheevr": "eigh", "zheevd": "eigh",
+               "eigh": "eigh", "eigvalsh": "eigvalsh", "zggev": "pencil"}
 
 
 def _with_nan(a):
@@ -39,36 +43,21 @@ def _with_nan(a):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts of LAPACK calls: at the matcore choke point (zgesdd as
-    ``svd``, zheevr and zheevd as ``eigh``) and through numpy.linalg, of
-    numpy.linalg calls on a stack of matrices (``batched``), and of the
-    level-set pencil solves (``pencil``) of the support search."""
-    counts = {f: 0 for f in LAPACK}
-    counts["batched"] = 0
+    """Counts of LAPACK calls, all taken at the matcore choke point: zgesdd
+    as ``svd``, zheevr, zheevd and the batched eigh as ``eigh``, the batched
+    eigvalsh as ``eigvalsh``, zggev as ``pencil``, and as ``batched`` the
+    calls on a stack of matrices, which only the stack kernel
+    ``_rotated_top`` of the support search makes."""
+    counts = dict.fromkeys((*LAPACK, "batched", "pencil"), 0)
     for name, f in CHOKE_POINT.items():
         orig = getattr(matcore, name)
 
-        def driver(*args, _f=f, _orig=orig, **kwargs):
-            counts[_f] += 1
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(matcore, name, driver)
-    for f in LAPACK:
-        orig = getattr(np.linalg, f)
-
-        def counted(a, *args, _f=f, _orig=orig, **kwargs):
+        def driver(a, *args, _f=f, _orig=orig, **kwargs):
             counts[_f] += 1
             counts["batched"] += np.ndim(a) > 2
             return _orig(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, f, counted)
-    counts["pencil"] = 0
-
-    def pencil(a, b, **kwargs):
-        counts["pencil"] += 1
-        return zggev(a, b, **kwargs)
-
-    monkeypatch.setattr(stateface, "zggev", pencil)
+        monkeypatch.setattr(matcore, name, driver)
     return counts
 
 
@@ -216,7 +205,6 @@ def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
     monkeypatch.setattr(matcore, "zheevr", subset)
     monkeypatch.setattr(matcore, "zheevd", lambda *a, **k: full.append(a))
     monkeypatch.setattr(matcore, "zgesdd", values)
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: vectors.append(1))
     rep = operator_daugavet_witness(t)
     assert subsets == [((12, 12), "I", 11, 12)] and full == []
     assert vectors == [0, 0]
@@ -271,3 +259,34 @@ def test_support_search_takes_few_level_sets(lapack_calls):
                 lapack_calls["pencil"] = 0
                 zero_in_numrange(_edge_matrix(rng, k, shift))
                 assert 1 <= lapack_calls["pencil"] <= 3
+
+
+def test_decision_code_calls_lapack_only_through_matcore():
+    # the decision modules reach LAPACK only through matcore, so one
+    # patch of matcore counts every call; verify is exempt, as its oracles
+    # use numpy.linalg to stay independent of the code they check
+    banned = {"svd", "eigh", "eigvalsh", "eig", "eigvals"}
+    for name in ("hmodule", "stateface", "normderiv", "ortho", "daugavet"):
+        path = importlib.import_module(f"rhoperp.{name}").__file__
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute):
+                mods = [ast.unparse(node)]
+            else:
+                continue
+            for mod in mods:
+                assert not mod.startswith("scipy.linalg"), (name, mod)
+                head, _, attr = mod.rpartition(".")
+                assert not (head.endswith("linalg") and attr in banned), (name, mod)
+
+
+def test_m_lower_bound_takes_one_eigensolve(lapack_calls):
+    # lambda_min(<y, y>) from the full spectrum of the prescaled Gram
+    # matrix: no SVD for ||y|| first
+    m_lower_bound(random_element(np.random.default_rng(51), 5, 3))
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, 1, 0)

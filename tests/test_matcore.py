@@ -71,8 +71,11 @@ def test_spectrum_invariants():
 
 
 def test_spectrum_rejects_large_drift():
-    with pytest.raises(NonHermitianInput):
-        hermitian_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # the drift is relative: c [[0, 1], [0, 0]] is rejected at every scale c
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for j in range(-1000, 1001):
+        with pytest.raises(NonHermitianInput):
+            hermitian_spectrum(2.0 ** j * nilpotent)
     with pytest.raises(NonHermitianInput):
         hermitian_spectrum(np.ones((2, 3)))
 
@@ -81,6 +84,14 @@ def test_spectrum_symmetrizes_roundoff_drift():
     h = np.diag([2.0, 1.0]) + np.array([[0.0, 1e-13], [0.0, 0.0]])
     spec = hermitian_spectrum(h)
     np.testing.assert_allclose(spec.eigenvalues, [2.0, 1.0], atol=1e-12)
+    # x* x with its rounding drift, moved to every scale 2^j by exact scaling
+    x = random_element(np.random.default_rng(3), 5, 3)
+    g = x.conj().T @ x
+    g[0, 1] *= 1.0 + 1e-13
+    ref = hermitian_spectrum(g).eigenvalues
+    for j in range(-1000, 1001):
+        vals = hermitian_spectrum(2.0 ** j * g).eigenvalues
+        np.testing.assert_allclose(vals, 2.0 ** j * ref, rtol=1e-13)
 
 
 def test_operator_norm_identity():
@@ -134,6 +145,27 @@ def test_top_eigh_matches_the_full_spectrum_on_both_paths():
             scale = full.eigenvalues[0]
             for i in range(len(vals)):
                 assert np.linalg.norm(h @ vecs[:, i] - vals[i] * vecs[:, i]) <= 1e-12 * scale
+
+
+def test_top_eigh_reverses_lapack_order():
+    # values and vectors are LAPACK's ascending output reversed, on both
+    # paths: exactly equal eigenvalues come in the reverse of LAPACK's order
+    x = random_element(np.random.default_rng(7), 12, 12)
+    q = np.linalg.qr(x)[0]
+    cases = [(np.eye(3, dtype=np.complex128), 3, None),
+             (np.diag([2.0, 1.0, 2.0]).astype(np.complex128), 2, None),
+             (x.conj().T @ x, 12, None),
+             ((q * np.r_[3.0, 3.0, np.linspace(0.0, 2.0, 10)]) @ q.conj().T, 2, 2)]
+    for h, j, subset in cases:
+        if subset:
+            w, v, m, _, info = matcore.zheevr(h, range="I", il=11, iu=12, lower=1)
+            assert (m, info) == (subset, 0)
+            w = w[:m]
+        else:
+            w, v, _ = matcore.zheevd(h, lower=1)
+        vals, vecs = _top_eigh(h, j)
+        assert vals.tobytes() == w[::-1].tobytes()
+        assert vecs.tobytes() == v[:, ::-1].tobytes()
 
 
 @pytest.mark.parametrize("j", [1, 2])

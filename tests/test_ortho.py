@@ -110,10 +110,16 @@ def test_parallel_max_norm_attained_at_reported_angle():
 
 
 def test_parallel_zero_element_has_unit_witness():
+    # the report carries the same fields as for a nonzero pair; the face of
+    # a zero x is everything
     y = random_element(np.random.default_rng(16), 3, 2)
-    for a, b in ((np.zeros((3, 2)), y), (y, np.zeros((3, 2)))):
+    keys = is_norm_parallel(y, y).data.keys()
+    for a, b, dim in ((np.zeros((3, 2)), y, 2), (y, np.zeros((3, 2)), 1),
+                      (np.zeros((3, 3)), np.eye(3), 3)):
         rep = is_norm_parallel(a, b)
         assert rep.holds and rep.witness == 1.0
+        assert rep.data.keys() == keys
+        assert (rep.data["numerical_radius"], rep.data["face_dim"]) == (0.0, dim)
 
 
 PREDICATES = (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,

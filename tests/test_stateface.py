@@ -6,7 +6,7 @@ from scipy.linalg import eigvals
 from scipy.linalg.lapack import zggev
 from scipy.optimize import minimize_scalar
 
-from rhoperp import stateface
+from rhoperp import matcore, stateface
 from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
                      cauchy_schwarz_gap, face_compression, inner_product, is_bj,
                      is_norm_parallel, maximally_mixed, module_norm,
@@ -177,8 +177,12 @@ def test_face_compression_full_face_is_unitary_conjugation():
 
 
 def test_face_compression_identity_face():
+    # the face of t is everything, in whatever basis: V C V* gives s back
     t, s, _ = incomparability_triple()
-    np.testing.assert_allclose(face_compression(top_face(t), s), s)
+    v = top_face(t).isometry
+    assert v.shape == (2, 2)
+    np.testing.assert_allclose(v @ face_compression(top_face(t), s) @ v.conj().T, s,
+                               atol=1e-15)
 
 
 def test_face_compression_scalar():
@@ -409,7 +413,7 @@ def _recorded_pencils(monkeypatch):
         seen.append((a.copy(), b.copy(), out[0], out[1]))
         return out
 
-    monkeypatch.setattr(stateface, "zggev", recording)
+    monkeypatch.setattr(matcore, "zggev", recording)
     return seen
 
 
@@ -463,7 +467,7 @@ def test_level_set_solve_reports_lapack_failure(monkeypatch):
             return (*zggev(a, b, **kwargs)[:5], _info)
 
         with monkeypatch.context() as patch:
-            patch.setattr(stateface, "zggev", failing)
+            patch.setattr(matcore, "zggev", failing)
             with pytest.raises(error):
                 _support_extremum(m, -1.0)
 
@@ -590,7 +594,8 @@ def test_state_from_face_vector_rank_one():
 def test_state_from_face_vector_matches_min_derivative():
     t, _, r = incomparability_triple()
     face = top_face(t)
-    p = state_from_face_vector(face, np.array([1.0, 0.0]))
+    # the face is everything: its coordinates of e_1, in whatever basis
+    p = state_from_face_vector(face, face.isometry.conj().T @ np.array([1.0, 0.0]))
     np.testing.assert_allclose(p.density, np.diag([1.0, 0.0]), atol=1e-14)
     assert state_value(p, inner_product(t, r)).real == pytest.approx(-1.0)
 
