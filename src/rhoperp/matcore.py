@@ -8,6 +8,7 @@ Every LAPACK call of the decision code goes through one choke point here:
 * :func:`_top_eigh`, the top j eigenpairs of a Hermitian matrix, from one
   ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset ``zheevr`` above
   it (``zheevd`` again when ``zheevr`` fails or returns fewer than j);
+* :func:`_min_eigval`, the smallest eigenvalue: one ``zheevd`` without vectors;
 * :func:`_rotated_top`, the top eigenvalues (or eigenvectors) of the
   rotations (e^{it} M + e^{-it} M*)/2, from one batched ``eigvalsh`` (``eigh``);
 * :func:`_pencil`, the eigenvalues of a pencil, from one ``zggev`` (QZ);
@@ -108,6 +109,14 @@ def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
+def _min_eigval(h: np.ndarray) -> float:
+    """lambda_min of a trusted Hermitian h (its lower triangle is read)."""
+    vals, _, info = zheevd(h, compute_v=0, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
+    return float(vals[0])
+
+
 def _rotated_top(m: np.ndarray, thetas: np.ndarray, vectors: bool = False) -> np.ndarray:
     """lambda_max of (e^{it} M + e^{-it} M*)/2 for each angle t of thetas, a
     trusted square m, from one eigvalsh on the stack of rotations; with
@@ -143,12 +152,9 @@ def _prescaled(m: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class HermitianSpectrum:
-    """Full spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted descending; column ``i`` of
-    ``eigenvectors`` is a unit eigenvector for ``eigenvalues[i]`` and the
-    columns form an orthonormal basis.
-    """
+    """Spectral decomposition of a Hermitian matrix: ``eigenvalues`` real and
+    descending, column ``i`` of ``eigenvectors`` a unit eigenvector for
+    ``eigenvalues[i]``, the columns an orthonormal basis."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray

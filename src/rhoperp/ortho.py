@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import PreconditionFailed
 from .hmodule import _unit_pair
-from .matcore import _finite, _min_singular, _norm, _prescaled, _top_eigh, as_complex_matrix
+from .matcore import _finite, _min_eigval, _min_singular, _norm, _prescaled, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
                         _reduce, _zero_in_numrange)
@@ -193,8 +193,7 @@ def m_lower_bound(y) -> float:
     """inf phi(<y, y>) over all states: lambda_min(<y, y>) = s^2 lambda_min(<ys, ys>),
     ys = y/s for the exact power of two s of ``matcore._prescaled``."""
     ys, s = _prescaled(as_complex_matrix(y))
-    gram = ys.conj().T @ ys
-    low = float(_top_eigh(gram, len(gram))[0][-1]) * s * s
+    low = _min_eigval(ys.conj().T @ ys) * s * s
     if abs(low) == np.inf:
         raise ValueError("lambda_min(<y, y>) beyond the double range")
     return low

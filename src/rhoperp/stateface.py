@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _norm, _pencil, _prescaled,
-                      _rotated_top, _top_eigh, as_complex_matrix, operator_norm)
+from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _min_eigval, _norm, _pencil,
+                      _prescaled, _rotated_top, _top_eigh, as_complex_matrix, operator_norm)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -90,7 +90,7 @@ class StateWitness:
             raise ShapeMismatch(f"density of shape {d.shape} is not square")
         if operator_norm(d - d.conj().T) > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(d)):
             raise ValueError("density must be Hermitian")
-        low = _top_eigh((d + d.conj().T) / 2.0, len(d))[0][-1]
+        low = _min_eigval((d + d.conj().T) / 2.0)
         if low < -1e-10:
             raise ValueError(f"density has negative eigenvalue {low:.3e}")
         _check_trace(d)
@@ -320,11 +320,9 @@ def _minimize_support(m: np.ndarray) -> tuple[float, float]:
 
 
 def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """w(M) = max_t lambda_max(Re(e^{it} M)) and a unit v attaining it.
-
-    v is the top eigenvector of Re(e^{it} M) at the maximizing angle, so
-    |v* M v| = w(M) to the accuracy of the level-set search; [c] gives |c|.
-    """
+    """w(M) = max_t lambda_max(Re(e^{it} M)) and v, the top eigenvector of
+    Re(e^{it} M) at the maximizing angle: |v* M v| = w(M) to the accuracy of
+    the level-set search; [c] gives |c|."""
     if m.shape[0] == 1:
         return abs(complex(m[0, 0])), np.ones(1, dtype=np.complex128)
     t, w = _support_extremum(m, 1.0)
@@ -341,12 +339,8 @@ def _cross(u: complex, w: complex) -> float:
 
 
 def _support_points(m: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary points of W(M) with the given outward normal angles.
-
-    The point with outward normal e^{i nu} is v* M v for the top
-    eigenvector v of Re(e^{-i nu} M); all angles share one batched eigh
-    (``matcore._rotated_top``).
-    """
+    """Boundary points v* M v of W(M) with outward normals e^{i nu}, v the top
+    eigenvector of Re(e^{-i nu} M), and those v, from one ``_rotated_top``."""
     v = _rotated_top(m, -normals, vectors=True)
     return np.einsum("ti,ij,tj->t", v.conj(), m, v), v
 
