@@ -11,12 +11,18 @@ Suite report schema (also emitted by ``rhoperp check``)::
      "properties": [{"name": str, "trials": int, "failures": int,
                      "worst_margin": float | null, "seconds": float}, ...]}
 
+Each report lists the fields of its result dataclass in declaration
+order (``daugavet`` leaves out the cube identity's witnesses): a state as
+``{"type": "state", "density": matrix}``, a complex unit as
+``{"type": "unimodular", "value": [re, im]}``, a vector as [re, im] pairs.
+
 Exit codes: 0 success (for ``ortho``: the relation holds; for ``check``:
 all properties pass; for ``daugavet``: identities within tolerance; for
 ``rho --oracle``: both difference quotients within ``tol ||x|| ||y||`` of
-the closed forms), 1 negative result, 2 parse/usage error, 3 shape
-mismatch.  Every exit path except parse errors prints a valid JSON
-document on stdout.
+the closed forms), 1 negative result, 2 usage or value error, 3 shape
+mismatch.  Every exit prints one JSON document on stdout, a failure
+``{"error": str}``, except a matrix file that cannot be read or parsed
+and a malformed command line: those print ``error: ...`` on stderr (exit 2).
 """
 
 from __future__ import annotations
@@ -24,12 +30,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from .daugavet import (module_daugavet_check, operator_daugavet_witness,
                        rho_cube_identity)
-from .errors import InvalidScalars, ShapeMismatch, ZeroOperator
+from .errors import RhoperpError, ShapeMismatch, ZeroOperator
 from .hmodule import module_norm
 from .matcore import as_complex_matrix
 from .normderiv import rho_fd, rho_pair
@@ -43,14 +50,15 @@ class MatrixParseError(ValueError):
     """Input file is not a valid matrix document."""
 
 
+def _pairs(a) -> list:
+    """[re, im] pairs of the entries of ``a``, row-major."""
+    return [[float(v.real), float(v.imag)] for v in np.ravel(a)]
+
+
 def matrix_payload(a) -> dict:
     """JSON-ready dict for a matrix, row-major [re, im] entries."""
     m = as_complex_matrix(a)
-    return {
-        "rows": int(m.shape[0]),
-        "cols": int(m.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in m.ravel()],
-    }
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": _pairs(m)}
 
 
 def matrix_from_payload(doc) -> np.ndarray:
@@ -88,49 +96,47 @@ def save_matrix(a, path) -> None:
         fp.write("\n")
 
 
-def _complex_payload(z: complex):
-    return [float(z.real), float(z.imag)]
+def _encode(value):
+    """JSON value of one report field."""
+    if isinstance(value, StateWitness):
+        return {"type": "state", "density": matrix_payload(value.density)}
+    if isinstance(value, complex):
+        return {"type": "unimodular", "value": _pairs(value)[0]}
+    if isinstance(value, np.ndarray):
+        return _pairs(value)
+    if isinstance(value, dict):
+        return {k: float(v) if isinstance(v, (int, float, np.floating)) else v
+                for k, v in value.items()}
+    return value
 
 
-def _witness_payload(w):
-    if w is None:
-        return None
-    if isinstance(w, StateWitness):
-        return {"type": "state", "density": matrix_payload(w.density)}
-    if isinstance(w, complex):
-        return {"type": "unimodular", "value": _complex_payload(w)}
-    return {"type": "vector", "entries": [_complex_payload(complex(v)) for v in np.asarray(w)]}
-
-
-def _clean(data: dict) -> dict:
-    return {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-            for k, v in data.items()}
+def _payload(report, **rename) -> dict:
+    """The fields of a report dataclass in declaration order, each under its
+    own name, or under ``rename[name]``, or left out where that is None."""
+    doc = {}
+    for f in fields(report):
+        key = rename.get(f.name, f.name)
+        if key is not None:
+            doc[key] = _encode(getattr(report, f.name))
+    return doc
 
 
 def _emit(report: dict, json_out) -> None:
     text = json.dumps(report, indent=2)
-    print(text)
     if json_out:
         with open(json_out, "w") as fp:
             fp.write(text + "\n")
+    print(text)
 
 
 def _cmd_rho(args) -> int:
-    x = load_matrix(args.x)
-    y = load_matrix(args.y)
-    pair = rho_pair(x, y)
-    report = {
-        "rho_plus": pair.rho_plus,
-        "rho_minus": pair.rho_minus,
-        "rho_mid": pair.rho_mid,
-        "max_witness": _witness_payload(pair.max_witness),
-        "min_witness": _witness_payload(pair.min_witness),
-    }
+    x, y = load_matrix(args.x), load_matrix(args.y)
+    report = _payload(rho_pair(x, y))
     ok = True
     if args.oracle:
         fd_plus = rho_fd(x, y, "+")
         fd_minus = rho_fd(x, y, "-")
-        diff = max(abs(fd_plus - pair.rho_plus), abs(fd_minus - pair.rho_minus))
+        diff = max(abs(fd_plus - report["rho_plus"]), abs(fd_minus - report["rho_minus"]))
         ok = diff <= args.tol * module_norm(x) * module_norm(y)
         report["oracle"] = {
             "rho_plus_fd": fd_plus,
@@ -153,55 +159,22 @@ _RELATIONS = {
 
 
 def _cmd_ortho(args) -> int:
-    x = load_matrix(args.x)
-    y = load_matrix(args.y)
-    rep = _RELATIONS[args.relation](x, y, tol=args.tol)
-    report = {
-        "relation": rep.relation.value,
-        "holds": rep.holds,
-        "margin": rep.margin,
-        "tol": rep.tol,
-        "witness": _witness_payload(rep.witness),
-        "data": _clean(rep.data),
-    }
-    _emit(report, args.json_out)
+    rep = _RELATIONS[args.relation](load_matrix(args.x), load_matrix(args.y), tol=args.tol)
+    _emit(_payload(rep), args.json_out)
     return 0 if rep.holds else 1
 
 
 def _cmd_daugavet(args) -> int:
     x = load_matrix(args.x)
-    try:
-        mod = module_daugavet_check(x, args.alpha, args.beta, tol=args.tol)
-    except InvalidScalars as exc:
-        print(json.dumps({"error": str(exc)}))
-        return 2
+    mod = module_daugavet_check(x, args.alpha, args.beta, tol=args.tol)
     cube = rho_cube_identity(x, tol=args.tol)
-    report = {
-        "module": {
-            "alpha": mod.alpha, "beta": mod.beta, "lhs": mod.lhs, "rhs": mod.rhs,
-            "residual": mod.residual, "cube_norm_residual": mod.cube_norm_residual,
-            "within_tol": mod.within_tol, "tol": mod.tol,
-        },
-        "cube_identity": {
-            "rho_plus": cube.rho_plus, "rho_minus": cube.rho_minus,
-            "norm_fourth": cube.norm_fourth, "max_deviation": cube.max_deviation,
-            "witness_square_residual": cube.witness_square_residual,
-            "within_tol": cube.within_tol, "tol": cube.tol,
-        },
-    }
+    report = {"module": _payload(mod),
+              "cube_identity": _payload(cube, max_witness=None, min_witness=None)}
     ok = mod.within_tol and cube.within_tol
     try:
         op = operator_daugavet_witness(x, tol=args.tol)
-        report["operator"] = {
-            "vector": [_complex_payload(complex(v)) for v in op.vector],
-            "norm": op.norm_t, "cube_norm": op.norm_cube, "sum_norm": op.sum_norm,
-            "attainment_residual": op.attainment_residual,
-            "cube_attainment_residual": op.cube_attainment_residual,
-            "alignment_residual": op.alignment_residual,
-            "equation_residual": op.equation_residual,
-            "within_tol": op.within_tol, "tol": op.tol,
-            "note": op.finite_dimension_note,
-        }
+        report["operator"] = _payload(op, norm_t="norm", norm_cube="cube_norm",
+                                      finite_dimension_note="note")
         ok = ok and op.within_tol
     except ZeroOperator:
         report["operator"] = None
@@ -273,8 +246,8 @@ def main(argv=None) -> int:
     except ShapeMismatch as exc:
         print(json.dumps({"error": f"shape mismatch: {exc}"}))
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RhoperpError, ValueError, OSError) as exc:
+        print(json.dumps({"error": str(exc)}))
         return 2
 
 

@@ -45,19 +45,21 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     the intermediate equality that forces the identity.  Computed on the
     unit element u = x/||x||, for which x<x,x> has unit direction
     u<u,u> and <u, u<u,u>> = <u,u>^2, and scaled by ||x||^4 at output.
+    With B = <u,u> V for the face V, the compression is V* <u,u>^2 V = B* B
+    and a witness (Vz)(Vz)* gives phi(<u,u>^2) = ||B z||^2, so no n-by-n
+    product is formed.
     ``within_tol``: both deviations are at most tol ||x||^4.
     """
     nx, u, face = _unit_face(as_complex_matrix(x))
-    gram = u.conj().T @ u
-    square = gram @ gram
-    hi, z_hi, lo, z_lo, _ = _rho_extremes(face, square)
+    b = u.conj().T @ (u @ face.isometry)
+    hi, z_hi, lo, z_lo, _ = _rho_extremes(b.conj().T @ b)
     w_hi, w_lo = _face_state(face, z_hi), _face_state(face, z_lo)
     n4 = nx * nx * nx * nx
     if n4 == np.inf:
         raise ValueError("||x||^4 beyond the double range")
     r_plus, r_minus = hi * n4, lo * n4
     dev = max(abs(r_plus - n4), abs(r_minus - n4))
-    wsr = max(abs(np.trace(w.density @ square).real * n4 - n4) for w in (w_hi, w_lo))
+    wsr = max(abs(np.vdot(bz, bz).real * n4 - n4) for bz in (b @ z_hi, b @ z_lo))
     return CubeIdentityReport(
         rho_plus=r_plus, rho_minus=r_minus, norm_fourth=n4,
         max_deviation=dev, witness_square_residual=wsr,
@@ -151,7 +153,7 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     if n3 == np.inf:
         raise ValueError("||T||^3 beyond the double range")
     x_o = face.isometry[:, 0]
-    cube = s @ s.conj().T @ s
+    cube = s @ (s.conj().T @ s)
     nc = _norm(cube)
     sum_norm = nt * _norm(s + (nt * nt) * cube)
     t_att = abs(float(np.linalg.norm(s @ x_o)) - 1.0) * nt

@@ -164,13 +164,17 @@ def hermitian_spectrum(h) -> HermitianSpectrum:
     """Spectral decomposition of a (numerically) Hermitian matrix.
 
     Drift up to ``HERMITIAN_DRIFT_TOL`` relative is silently symmetrized
-    away; anything beyond raises :class:`NonHermitianInput`.
+    away; anything beyond raises :class:`NonHermitianInput`.  Both the
+    drift check and the solve run on the :func:`_prescaled` matrix, so no
+    finite entry overflows; the eigenvalues are scaled back.
     """
     m = as_complex_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix of shape {m.shape} is not square")
-    drift = operator_norm(m - m.conj().T)
-    if drift > HERMITIAN_DRIFT_TOL * operator_norm(m):
-        raise NonHermitianInput(f"matrix deviates from Hermitian by {drift:.3e} "
+    m, s = _prescaled(m)
+    drift = _norm(m - m.conj().T)
+    if drift > HERMITIAN_DRIFT_TOL * _norm(m):
+        raise NonHermitianInput(f"matrix deviates from Hermitian by {drift * s:.3e} "
                                 f"(relative tol {HERMITIAN_DRIFT_TOL:.1e})")
-    return HermitianSpectrum(*_top_eigh((m + m.conj().T) / 2.0, len(m)))
+    vals, vecs = _top_eigh((m + m.conj().T) / 2.0, len(m))
+    return HermitianSpectrum(vals * s, vecs)

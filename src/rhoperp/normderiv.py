@@ -34,11 +34,11 @@ class DerivativePair:
     min_witness: StateWitness
 
 
-def _rho_extremes(face, g):
+def _rho_extremes(c):
     """(lambda_max, z_max, lambda_min, z_min, H): the extreme eigenpairs, in face
-    coordinates, of H = Re V* G V for the face V and G = <u, w> of a unit pair."""
-    h = _compress(face, g)
-    h = (h + h.conj().T) / 2.0
+    coordinates, of H = Re C for the compression C = V* G V of G = <u, w>
+    (a unit pair) to the face V."""
+    h = (c + c.conj().T) / 2.0
     vals, vecs = _top_eigh(h, len(h))
     return float(vals[0]), vecs[:, 0], float(vals[-1]), vecs[:, -1], h
 
@@ -59,7 +59,7 @@ def rho_pair(x, y) -> DerivativePair:
     """Both derivatives at once, sharing one face computation; for x = 0
     both are 0, attained by every state."""
     nx, ny, _, _, face, g = _reduce(x, y)
-    hi, z_hi, lo, z_lo, _ = _rho_extremes(face, g)
+    hi, z_hi, lo, z_lo, _ = _rho_extremes(_compress(face, g))
     if not lo <= hi:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")
     return DerivativePair(rho_plus=hi * nx * ny, rho_minus=lo * nx * ny,

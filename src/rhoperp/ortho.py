@@ -97,7 +97,7 @@ def _bj_decision(x, y, tol: float, real: bool):
     bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
     nx, ny, _, _, face, g = _reduce(x, y)
     if real:
-        hi, z_hi, lo, z_lo, h = _rho_extremes(face, g)
+        hi, z_hi, lo, z_lo, h = _rho_extremes(_compress(face, g))
         return (face, min(hi, -lo), lambda: _carden_step(h, z_hi, z_lo, 0.0),
                 {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
     res = _zero_in_numrange(_compress(face, g), tol)
@@ -153,7 +153,7 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     The margin is -|lambda_max + lambda_min|/2 of Re V* G V, in [-1, 0].
     """
     nx, ny, _, _, face, g = _reduce(x, y)
-    hi, _, lo, _, _ = _rho_extremes(face, g)
+    hi, _, lo, _, _ = _rho_extremes(_compress(face, g))
     return _report(Relation.RHO, -abs(hi + lo) / 2.0, tol,
                    {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
 

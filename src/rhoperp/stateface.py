@@ -441,16 +441,15 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     until then the boundary point with outward normal ``-q/|q|`` is added,
     at most ``_CERTIFICATE_ROUNDS`` times.  ``residual`` is the achieved
     ``|z* M z|``.  A 1-by-1 [c] gives -|c|, pi - arg c, or [1] and |c|.
-    It decides on M/s, s the power of two with 1/2 <= ||M/s|| < 1 (1 for
-    M = 0; exact, and no step can overflow), and scales the margin and
-    residual back.
+    It decides on M/s, s the power of two of :func:`matcore._prescaled`
+    (the largest real or imaginary part of M/s in [1, 2); exact, and no
+    step can overflow), and scales the margin and residual back.
     """
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix of shape {m.shape} is not square")
-    nm = _norm(m)
-    s = math.ldexp(1.0, math.frexp(nm)[1])
-    res = _zero_in_numrange(m / s, 0.5 * tol * (1.0 + nm) / s)
+    ms, s = _prescaled(m)
+    res = _zero_in_numrange(ms, 0.5 * tol * (1.0 / s + _norm(ms)))
     residual = None if res.residual is None else res.residual * s
     return replace(res, margin=res.margin * s, residual=residual)
 

@@ -245,7 +245,8 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True)
+        """The document ``rhoperp check`` prints."""
+        return json.dumps(self.to_payload(), indent=2)
 
 
 # (name, check) in suite order; check(rng, trials) returns (trials, failures,

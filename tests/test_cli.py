@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from rhoperp import module_norm
+from rhoperp import cli, module_norm
 from rhoperp.cli import load_matrix, main, matrix_payload, save_matrix
-from rhoperp.verify import incomparability_triple, random_element
+from rhoperp.errors import NoConvergence
+from rhoperp.verify import PropertyResult, SuiteReport, incomparability_triple, random_element
 
 T, S, R = incomparability_triple()
 
@@ -168,3 +169,114 @@ def test_check_command(tmp_path, capsys):
 
 def test_check_command_unknown_property(capsys):
     assert main(["check", "--suite", "bogus"]) == 2
+
+
+def test_check_command_prints_the_suite_json(monkeypatch, capsys):
+    report = SuiteReport(seed=0, trials=1,
+                         results=(PropertyResult("rho-p1", 1, 0, 0.5, seconds=0.25),))
+    monkeypatch.setattr(cli, "property_suite", lambda **kwargs: report)
+    assert main(["check", "--trials", "1"]) == 0
+    assert capsys.readouterr().out == report.to_json() + "\n"
+
+
+_MATRIX_KEYS = ["rows", "cols", "entries"]
+
+
+def _assert_state(witness):
+    assert list(witness) == ["type", "density"] and witness["type"] == "state"
+    assert list(witness["density"]) == _MATRIX_KEYS
+
+
+def test_rho_document_schema(tmp_path, capsys):
+    rng = np.random.default_rng(65)
+    assert main(["rho", "--x", _write(tmp_path, "x.json", random_element(rng, 3, 2)),
+                 "--y", _write(tmp_path, "y.json", random_element(rng, 3, 2)), "--oracle"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["rho_plus", "rho_minus", "rho_mid", "max_witness", "min_witness",
+                         "oracle"]
+    _assert_state(doc["max_witness"])
+    _assert_state(doc["min_witness"])
+    assert list(doc["oracle"]) == ["rho_plus_fd", "rho_minus_fd", "max_abs_difference",
+                                   "tolerance"]
+
+
+_DATA_KEYS = {
+    "ip": ["inner_product_norm"],
+    "bj": ["support_min", "certificate_residual"],
+    "bj-real": ["rho_plus", "rho_minus"],
+    "bj-strong": ["annihilation_value"],
+    "rho": ["rho_plus", "rho_minus"],
+    "parallel": ["max_norm", "angle", "numerical_radius", "face_dim"],
+}
+
+
+@pytest.mark.parametrize("relation", sorted(_DATA_KEYS))
+def test_ortho_document_schema(tmp_path, capsys, relation):
+    # an orthogonal pair, a zero direction and a parallel pair, on which
+    # bj both holds and fails
+    x = random_element(np.random.default_rng(66), 3, 3)
+    for a, b in ((T, R), (x, np.zeros((3, 3))), (x, 2j * x)):
+        code = main(["ortho", "--relation", relation, "--x", _write(tmp_path, "a.json", a),
+                     "--y", _write(tmp_path, "b.json", b)])
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["relation", "holds", "margin", "tol", "witness", "data"]
+        assert doc["relation"] == relation and code == (0 if doc["holds"] else 1)
+        data = _DATA_KEYS[relation]
+        if relation == "bj" and not doc["holds"]:
+            data = ["support_min", "separating_angle"]
+        assert list(doc["data"]) == data
+        witness = doc["witness"]
+        if not doc["holds"] or relation in ("ip", "rho"):
+            assert witness is None
+        elif relation == "parallel":
+            assert list(witness) == ["type", "value"] and witness["type"] == "unimodular"
+            assert len(witness["value"]) == 2
+        else:
+            _assert_state(witness)
+
+
+def test_daugavet_document_schema(tmp_path, capsys):
+    x = random_element(np.random.default_rng(67), 3, 2)
+    for a in (x, np.zeros((3, 2))):
+        assert main(["daugavet", "--x", _write(tmp_path, "x.json", a)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["module", "cube_identity", "operator"]
+        assert list(doc["module"]) == ["alpha", "beta", "lhs", "rhs", "residual",
+                                       "cube_norm_residual", "within_tol", "tol"]
+        assert list(doc["cube_identity"]) == ["rho_plus", "rho_minus", "norm_fourth",
+                                              "max_deviation", "witness_square_residual",
+                                              "within_tol", "tol"]
+    assert doc["operator"] is None
+    main(["daugavet", "--x", _write(tmp_path, "x.json", x)])
+    op = json.loads(capsys.readouterr().out)["operator"]
+    assert list(op) == ["vector", "norm", "cube_norm", "sum_norm", "attainment_residual",
+                        "cube_attainment_residual", "alignment_residual", "equation_residual",
+                        "within_tol", "tol", "note"]
+    assert len(op["vector"]) == 2 and all(len(v) == 2 for v in op["vector"])
+
+
+@pytest.mark.parametrize("case", ["unknown-property", "no-trials", "infinite-entry",
+                                  "cube-beyond-range", "no-convergence", "unwritable-json-out"])
+def test_value_errors_print_one_json_document(tmp_path, capsys, monkeypatch, case):
+    inf = tmp_path / "inf.json"
+    inf.write_text('{"rows": 1, "cols": 1, "entries": [[Infinity, 0]]}')
+    x = _write(tmp_path, "x.json", np.eye(2))
+
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("difference quotients did not settle")
+
+    monkeypatch.setattr(cli, "rho_fd", no_convergence)
+    args = {
+        "unknown-property": ["check", "--suite", "bogus"],
+        "no-trials": ["check", "--trials", "0"],
+        "infinite-entry": ["rho", "--x", str(inf), "--y", x],
+        "cube-beyond-range": ["daugavet", "--x", _write(tmp_path, "big.json", 1e120 * np.eye(2))],
+        "no-convergence": ["rho", "--x", x, "--y", x, "--oracle"],
+        "unwritable-json-out": ["rho", "--x", x, "--y", x,
+                                "--json-out", str(tmp_path / "missing" / "out.json")],
+    }[case]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    assert list(doc) == ["error"] and doc["error"]

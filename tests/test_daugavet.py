@@ -1,5 +1,7 @@
 """Norm identities around x<x,x> and the operator witness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -146,6 +148,19 @@ def test_operator_witness_sweep():
 def test_operator_witness_rectangular():
     rep = operator_daugavet_witness(random_element(np.random.default_rng(45), 3, 5))
     assert rep.within_tol
+
+
+def test_operator_witness_of_a_tall_operator_forms_no_m_by_m_product():
+    # T T* T as S (S* S): the 2000-by-2000 S S* alone would take 64 MB
+    t = random_element(np.random.default_rng(48), 2000, 2)
+    tracemalloc.start()
+    try:
+        rep = operator_daugavet_witness(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.within_tol
+    assert peak < 4e6
 
 
 def test_operator_witness_rejects_zero():

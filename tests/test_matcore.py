@@ -73,9 +73,9 @@ def test_spectrum_invariants():
 def test_spectrum_rejects_large_drift():
     # the drift is relative: c [[0, 1], [0, 0]] is rejected at every scale c
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for j in range(-1000, 1001):
+    for c in [2.0 ** j for j in range(-1000, 1001)] + [1e308, 1.7e308]:
         with pytest.raises(NonHermitianInput):
-            hermitian_spectrum(2.0 ** j * nilpotent)
+            hermitian_spectrum(c * nilpotent)
     with pytest.raises(NonHermitianInput):
         hermitian_spectrum(np.ones((2, 3)))
 
@@ -92,6 +92,11 @@ def test_spectrum_symmetrizes_roundoff_drift():
     for j in range(-1000, 1001):
         vals = hermitian_spectrum(2.0 ** j * g).eigenvalues
         np.testing.assert_allclose(vals, 2.0 ** j * ref, rtol=1e-13)
+    # entries up to 1.7e308, where (h + h*)/2 of the unscaled h overflows
+    c = 1.7e308 / operator_norm(g)
+    np.testing.assert_allclose(hermitian_spectrum(c * g).eigenvalues, c * ref, rtol=1e-13)
+    np.testing.assert_array_equal(hermitian_spectrum(1.7e308 * np.diag([1.0, -0.5])).eigenvalues,
+                                  [1.7e308, -8.5e307])
 
 
 def test_operator_norm_identity():

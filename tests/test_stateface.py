@@ -1,5 +1,7 @@
 """Top faces, states, compressions, and numerical-range membership."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvals
@@ -342,6 +344,21 @@ def test_zero_in_numrange_certificates_scale_with_m():
             assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
             assert abs(res.residual - c * abs(z.conj() @ m @ z)) <= 1e-14 * c
             assert res.residual <= 1e-9 * (1.0 + c * operator_norm(m))
+
+
+def test_zero_in_numrange_at_the_top_of_the_double_range():
+    # ||M|| >= 2^1023, where a power of two above ||M|| is beyond the range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = zero_in_numrange(np.diag([1e308, 1.7e308]))
+        assert not res.contains_zero
+        assert res.margin == pytest.approx(-1e308, rel=1e-12)
+        m = np.array([[0.0, 1.7e308], [0.0, 0.0]])
+        res = zero_in_numrange(m)
+    assert res.contains_zero
+    assert res.margin == pytest.approx(8.5e307, rel=1e-12)
+    assert abs(np.linalg.norm(res.vector) - 1.0) <= 1e-12
+    assert res.residual <= 1e-9 * 1.7e308
 
 
 def test_zero_in_numrange_near_an_edge():
