@@ -20,7 +20,8 @@ Exit codes: 0 success (for ``ortho``: the relation holds; for ``check``:
 all properties pass; for ``daugavet``: identities within tolerance; for
 ``rho --oracle``: both difference quotients within ``tol ||x|| ||y||`` of
 the closed forms), 1 negative result, 2 usage or value error, 3 shape
-mismatch.  Every exit prints one JSON document on stdout, a failure
+mismatch.  Every exit prints one strict JSON document on stdout, a failure
+(also a value past the double range, as JSON has no ``Infinity``)
 ``{"error": str}``, except a matrix file that cannot be read or parsed
 and a malformed command line: those print ``error: ...`` on stderr (exit 2).
 """
@@ -122,7 +123,7 @@ def _payload(report, **rename) -> dict:
 
 
 def _emit(report: dict, json_out) -> None:
-    text = json.dumps(report, indent=2)
+    text = json.dumps(report, indent=2, allow_nan=False)
     if json_out:
         with open(json_out, "w") as fp:
             fp.write(text + "\n")

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
-from .hmodule import _unit
-from .matcore import _norm, as_complex_matrix
+from .matcore import _check_tol, _norm, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import StateWitness, _face_state, _unit_face
 
@@ -50,6 +49,7 @@ def rho_cube_identity(x, tol: float = 1e-8) -> CubeIdentityReport:
     product is formed.
     ``within_tol``: both deviations are at most tol ||x||^4.
     """
+    _check_tol(tol)
     nx, u, face = _unit_face(as_complex_matrix(x))
     b = u.conj().T @ (u @ face.isometry)
     hi, z_hi, lo, z_lo, _ = _rho_extremes(b.conj().T @ b)
@@ -87,13 +87,14 @@ def module_daugavet_check(x, alpha: float, beta: float, tol: float = 1e-9) -> Da
     """Check ||alpha x + beta x<x,x>|| = alpha ||x|| + beta ||x||^3.
 
     Requires alpha, beta > 0; also verifies ||x<x,x>|| = ||x||^3.
-    Computed on u = x/||x||, for which x<x,x> = ||x||^3 u<u,u>.
-    ``within_tol``: the residuals are at most tol times the right-hand
-    side and tol ||x||^3.
+    Computed on u = x/||x|| (:func:`_unit_face`), for which x<x,x> =
+    ||x||^3 u<u,u>.  ``within_tol``: the residuals are at most tol times
+    the right-hand side and tol ||x||^3.
     """
+    _check_tol(tol)
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidScalars(f"coefficients must be positive, got ({alpha!r}, {beta!r})")
-    nx, u = _unit(as_complex_matrix(x))
+    nx, u, _ = _unit_face(as_complex_matrix(x))
     n3 = nx * nx * nx
     b = beta * nx * nx
     rhs = nx * (alpha + b)
@@ -140,12 +141,13 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     Returns a top right-singular vector x_o and checks ||T x_o|| = ||T||,
     ||T T* T x_o|| = ||T T* T|| = ||T||^3, and that T/||T|| and
     TT*T/||TT*T|| agree on x_o.  ||T||, S = T/||T|| and x_o, the top
-    eigenvector of S* S, come from one eigensolve (:func:`_unit_face`);
-    T T* T = ||T||^3 S S* S.
+    right singular vector of S, come from one decomposition
+    (:func:`_unit_face`); T T* T = ||T||^3 S S* S.
     ``within_tol``: each residual is at most tol times its own scale,
     ||T||, ||T||^3, 1 (the alignment), ||T|| + ||T||^3 (the equation) and
     ||T||^3 (||T T* T||).
     """
+    _check_tol(tol)
     nt, s, face = _unit_face(as_complex_matrix(t))
     if nt == 0.0:
         raise ZeroOperator("witness undefined for the zero operator")

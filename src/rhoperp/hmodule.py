@@ -14,10 +14,10 @@ and that value is symmetric in the two arguments, so results stated for
 the first-variable-linear convention hold verbatim.
 
 Every relation is homogeneous in x and in y, so every pair operation
-reads its result off the unit pair u = x/||x||, w = y/||y||, from
-:func:`_unit_pair` or, where the top face of <x, x> is needed too, from
-``stateface._unit_face`` for x and :func:`_unit` for y.  The zero element
-(norm below the smallest normal double) scales to 0.
+reads its result off the unit pair u = x/||x||, w = y/||y||: x, with the
+top face of <x, x>, from ``stateface._unit_face``; y, and both elements of
+the oracle ``normderiv.rho_fd``, from the value-only :func:`_unit`.  The
+zero element (norm below the smallest normal double) scales to 0.
 """
 
 from __future__ import annotations
@@ -44,15 +44,6 @@ def _unit(m: np.ndarray) -> tuple[float, np.ndarray]:
     if n < _TINY:
         return 0.0, np.zeros_like(m)
     return n, m / n
-
-
-def _unit_pair(x, y) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """(||x||, ||y||, u, w) for the validated pair; products of the unit
-    pair cannot overflow, so nothing downstream rescans them."""
-    x, y = _as_pair(x, y)
-    nx, u = _unit(x)
-    ny, w = _unit(y)
-    return nx, ny, u, w
 
 
 def inner_product(x, y) -> np.ndarray:

@@ -4,7 +4,7 @@ Every LAPACK call of the decision code goes through one choke point here:
 
 * :func:`_norm`, the largest singular value, from one ``zgesdd`` without
   vectors (an SVD, so the oracles' norms stay apart from the eigensolves);
-* :func:`_min_singular`, the smallest singular pair, from one ``zgesdd``;
+* :func:`_svd`, the singular values and right vectors, from one ``zgesdd``;
 * :func:`_top_eigh`, the top j eigenpairs of a Hermitian matrix, from one
   ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset ``zheevr`` above
   it (``zheevd`` again when ``zheevr`` fails or returns fewer than j);
@@ -39,7 +39,10 @@ _TINY = np.finfo(float).tiny
 # Order above which the top eigenpairs come from a subset zheevr instead of
 # the full spectrum of zheevd.  With one BLAS thread on a 2-core Xeon, a
 # top-2 zheevr took 1.4 times as long as zheevd at n = 4, 0.95 times at
-# n = 8, 0.55 times at n = 16 and 0.46 times at n = 40.
+# n = 8, 0.55 times at n = 16 and 0.46 times at n = 40.  It also splits
+# stateface._unit_face: a zgesdd with vectors took 7.2/6.9/16.7/7.8 us at
+# 2x2/4x4/8x8/3x8, the Gram matrix and its top two eigenpairs 18.2/17.9/
+# 35.9/33.2 us; at 16x16 the SVD took 55 us and the Gram route 32 us.
 _SUBSET_ABOVE = 8
 
 
@@ -56,6 +59,12 @@ def as_complex_matrix(a) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a nonempty 2-d matrix, got shape {m.shape}")
     return _finite(m)
+
+
+def _check_tol(tol) -> None:
+    """Raise ValueError unless ``tol`` is a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 
 def adjoint(a) -> np.ndarray:
@@ -76,13 +85,14 @@ def _norm(m: np.ndarray) -> float:
     return float(sv[0])
 
 
-def _min_singular(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """(sigma_min, v) for a trusted n-by-k m, n >= k: ||m v|| = sigma_min
-    for the unit right singular vector v, from one zgesdd with vectors."""
+def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sv, vt) for a trusted m: its min(m.shape) singular values, descending,
+    and row i of vt the conjugate of a unit right singular vector for sv[i],
+    from one thin zgesdd with vectors."""
     _, sv, vt, info = zgesdd(m, compute_uv=1, full_matrices=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
-    return float(sv[-1]), vt[-1].conj()
+    return sv, vt
 
 
 def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoConvergence
-from .hmodule import _unit_pair
-from .matcore import _norm, _top_eigh
+from .hmodule import _as_pair, _unit
+from .matcore import _check_tol, _norm, _top_eigh
 from .stateface import StateWitness, _compress, _face_state, _reduce
 
 
@@ -78,9 +78,10 @@ def rho_fd(x, y, side: str = "+", tol: float = 1e-6) -> float:
     whose successive change drops below the unitless ``tol`` and raises
     :class:`NoConvergence` if none does.  A zero x or y gives 0.0.
     """
+    _check_tol(tol)
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    nx, ny, u, w = _unit_pair(x, y)
+    (nx, u), (ny, w) = map(_unit, _as_pair(x, y))
     if nx == 0.0 or ny == 0.0:
         return 0.0
     sign = 1.0 if side == "+" else -1.0

@@ -40,8 +40,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .hmodule import _unit_pair
-from .matcore import _finite, _min_eigval, _min_singular, _norm, _prescaled, as_complex_matrix
+from .matcore import _check_tol, _min_eigval, _norm, _prescaled, _svd, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
                         _reduce, _zero_in_numrange)
@@ -85,8 +84,9 @@ def _report(relation: Relation, margin: float, tol: float, data: dict,
 
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||."""
-    nx, ny, u, w = _unit_pair(x, y)
-    val = _norm(u.conj().T @ w)
+    _check_tol(tol)
+    nx, ny, _, _, _, g = _reduce(x, y)
+    val = _norm(g)
     return _report(Relation.IP, -val, tol, {"inner_product_norm": val * nx * ny})
 
 
@@ -95,6 +95,7 @@ def _bj_decision(x, y, tol: float, real: bool):
     :func:`bhatia_semrl_witness`: z() is the unit face vector of the
     witness; for bj the certificate of 0 in W(V* G V) at slack tol, for
     bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
+    _check_tol(tol)
     nx, ny, _, _, face, g = _reduce(x, y)
     if real:
         hi, z_hi, lo, z_lo, h = _rho_extremes(_compress(face, g))
@@ -140,8 +141,10 @@ def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     for a unit z.  The margin is -sigma_min(G* V), in [-1, 0], from one SVD
     of the n-by-k G* V; the witness is the state of its right singular vector.
     """
+    _check_tol(tol)
     nx, ny, _, _, face, g = _reduce(x, y)
-    sigma, z = _min_singular(g.conj().T @ face.isometry)
+    sv, vt = _svd(g.conj().T @ face.isometry)
+    sigma, z = float(sv[-1]), vt[-1].conj()
     return _report(Relation.BJ_STRONG, -sigma, tol,
                    {"annihilation_value": sigma * sigma * nx * ny * nx * ny},
                    lambda: _face_state(face, z))
@@ -152,6 +155,7 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 
     The margin is -|lambda_max + lambda_min|/2 of Re V* G V, in [-1, 0].
     """
+    _check_tol(tol)
     nx, ny, _, _, face, g = _reduce(x, y)
     hi, _, lo, _, _ = _rho_extremes(_compress(face, g))
     return _report(Relation.RHO, -abs(hi + lo) / 2.0, tol,
@@ -173,6 +177,7 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     ``numerical_radius`` and ``face_dim``.  A zero x or y is parallel
     to everything, with xi = 1 and a numerical radius of 0.
     """
+    _check_tol(tol)
     nx, ny, u, w, face, g = _reduce(x, y)
     if nx == 0.0 or ny == 0.0:
         return _report(Relation.PARALLEL, 0.0, tol,
@@ -182,8 +187,9 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     radius, v = _numerical_radius(comp)
     val = complex(v.conj() @ comp @ v)
     xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j
+    c = max(nx, ny)
     return _report(Relation.PARALLEL, radius - 1.0, tol,
-                   {"max_norm": _norm(_finite(nx * u + xi * ny * w)),
+                   {"max_norm": c * _norm((nx / c) * u + xi * (ny / c) * w),
                     "angle": float(np.angle(xi) % (2.0 * np.pi)),
                     "numerical_radius": radius, "face_dim": face.dim},
                    lambda: xi)

@@ -40,8 +40,9 @@ import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_TINY, HERMITIAN_DRIFT_TOL, _finite, _min_eigval, _norm, _pencil,
-                      _prescaled, _rotated_top, _top_eigh, as_complex_matrix, operator_norm)
+from .matcore import (_SUBSET_ABOVE, _TINY, HERMITIAN_DRIFT_TOL, _check_tol, _finite,
+                      _min_eigval, _norm, _pencil, _prescaled, _rotated_top, _svd, _top_eigh,
+                      as_complex_matrix, operator_norm)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -143,38 +144,41 @@ def top_face(x) -> TopFace:
 
 def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     """(||x||, u = x/||x||, top face of <u, u>) for a trusted x, from one
-    eigensolve of the Gram matrix of xs = x/s, s the exact power of two of
-    :func:`_prescaled`: with lambda its largest eigenvalue, ||x|| =
-    s sqrt(lambda) and u = xs/sqrt(lambda), so 2^j x gives the same u.
-
-    The top two eigenpairs (:func:`_top_eigh`) decide the face, its gap
-    and its near-degeneracy flag, relative to lambda.  Only when every
-    returned eigenvalue joins the face and fewer than n were returned (a
-    degenerate face above the subset crossover) is the full spectrum
-    solved again.  An x of norm below the smallest normal double gives
-    (0.0, 0, the whole space).
+    decomposition of xs = x/s, s the exact power of two of :func:`_prescaled`
+    (so 2^j x gives the same u): with r = ||xs||, ||x|| = s r and u = xs/r.
+    Up to ``_SUBSET_ABOVE`` columns it is one zgesdd with vectors of xs
+    (:func:`_svd`): r is the top singular value, the eigenvalues of <xs, xs>
+    are the squared singular values (and 0 past the row count), the face
+    vectors right singular vectors.  Above, it is the top two eigenpairs of
+    <xs, xs> (:func:`_top_eigh`), r^2 the largest, solved again in full only
+    when both join the face.  The face, its gap and its near-degeneracy flag
+    are read relative to r^2.  An x of norm below the smallest normal double
+    gives (0.0, 0, the whole space).
     """
     xs, s = _prescaled(x)
-    gram = xs.conj().T @ xs
-    n = gram.shape[0]
-    vals, vecs = _top_eigh(gram, 2)
-    lam = float(vals[0])
-    root = math.sqrt(lam)
+    n = xs.shape[1]
+    if n <= _SUBSET_ABOVE:
+        sv, vt = _svd(xs)
+        root, vals, vecs = float(sv[0]), sv * sv, vt.conj().T
+    else:
+        gram = xs.conj().T @ xs
+        vals, vecs = _top_eigh(gram, 2)
+        root = math.sqrt(vals[0])
     nx = s * root
     if nx == np.inf:
         raise ValueError("module norm beyond the double range")
     if nx < _TINY:
         return 0.0, np.zeros_like(xs), TopFace(np.eye(n, dtype=np.complex128), 0.0,
                                                np.inf, _FACE_GAP_TOL, False)
+    lam = float(vals[0])
     cut = (1.0 - _FACE_GAP_TOL) * lam
-    k = int(np.sum(vals >= cut))
-    if k == len(vals) < n:
+    k = np.count_nonzero(vals >= cut)
+    if k == len(vals) < n and n > _SUBSET_ABOVE:
         vals, vecs = _top_eigh(gram, n)
-        k = int(np.sum(vals >= cut))
-    gap, near = np.inf, False
-    if k < n:
-        gap = (lam - float(vals[k])) / lam
-        near = bool(vals[k] >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam)
+        k = np.count_nonzero(vals >= cut)
+    # the largest eigenvalue below the face; none (gap inf) if k = n
+    below = float(vals[k]) if k < len(vals) else 0.0 if k < n else -np.inf
+    gap, near = (lam - below) / lam, below >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam
     return nx, xs / root, TopFace(vecs[:, :k], 1.0, gap, _FACE_GAP_TOL, near)
 
 
@@ -445,6 +449,7 @@ def zero_in_numrange(m, tol: float = 1e-9) -> NumRangeCertificate:
     (the largest real or imaginary part of M/s in [1, 2); exact, and no
     step can overflow), and scales the margin and residual back.
     """
+    _check_tol(tol)
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatch(f"matrix of shape {m.shape} is not square")

@@ -17,8 +17,9 @@ import pytest
 from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
                      is_norm_parallel, is_rho_orthogonal, m_lower_bound,
-                     operator_daugavet_witness, rho_cube_identity, rho_pair,
-                     state_from_face_vector, top_face, zero_in_numrange)
+                     module_daugavet_check, operator_daugavet_witness,
+                     rho_cube_identity, rho_fd, rho_pair, state_from_face_vector,
+                     top_face, zero_in_numrange)
 from rhoperp import matcore
 from rhoperp.verify import (bj_orthogonal_pair, random_degenerate_element,
                             random_element)
@@ -119,6 +120,29 @@ def test_generic_call_makes_no_redundant_lapack_work(op, lapack_calls):
     assert lapack_calls["eigvalsh"] == 0
 
 
+_X, _Y = bj_orthogonal_pair(np.random.default_rng(53), 3, 3)
+
+# Every public operation that takes a tolerance, called with tol on a pair
+# where the relations hold.
+TOL_OPS = {
+    **{op.__name__: lambda tol, op=op: op(_X, _Y, tol=tol) for op in PAIR_OPS[1:]},
+    "zero_in_numrange": lambda tol: zero_in_numrange(np.array([[2, 1], [0, 3]]), tol=tol),
+    "rho_cube_identity": lambda tol: rho_cube_identity(_X, tol=tol),
+    "module_daugavet_check": lambda tol: module_daugavet_check(_X, 1.0, 1.0, tol=tol),
+    "operator_daugavet_witness": lambda tol: operator_daugavet_witness(_X, tol=tol),
+    "rho_fd": lambda tol: rho_fd(_X, _Y, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", (np.nan, np.inf, -1e-9), ids=("nan", "inf", "negative"))
+@pytest.mark.parametrize("op", sorted(TOL_OPS))
+def test_tolerance_must_be_finite_and_nonnegative(op, tol):
+    # unchecked, a NaN tol has zero_in_numrange certify membership at a
+    # negative margin, and an infinite one makes every relation hold
+    with pytest.raises(ValueError, match="tol must be finite"):
+        TOL_OPS[op](tol)
+
+
 def _two_dim_face_bj_pair():
     """x with a 2-dim top face V and y = x V B V*, tr B = 0: 0 lies inside
     W(B), so every Birkhoff-James relation holds."""
@@ -160,30 +184,56 @@ def test_bhatia_semrl_witness_makes_no_redundant_lapack_work(real, lapack_calls)
     _assert_two_dim_face_caps(lapack_calls)
 
 
+def _counts(counts):
+    return counts["svd"], counts["eigh"], counts["eigvalsh"]
+
+
 def test_bj_strong_takes_one_svd_beyond_the_face(lapack_calls):
-    # ||y||, then ||x|| with the face from one eigensolve, and sigma_min(G* V)
-    # by SVD: no eigh of the compressed Gram product V* G G* V
+    # ||y||, then ||x|| with the face from one decomposition (an SVD up to
+    # order 8, a Gram eigensolve above), and sigma_min(G* V) by SVD: no
+    # eigh of the compressed Gram product V* G G* V
     rng = np.random.default_rng(50)
-    for x, y in ((random_element(rng, 4, 4), random_element(rng, 4, 4)),
-                 _two_dim_face_bj_pair()):
+    for (x, y), counts in (((random_element(rng, 4, 4), random_element(rng, 4, 4)), (3, 0, 0)),
+                           (_two_dim_face_bj_pair(), (3, 0, 0)),
+                           ((random_element(rng, 12, 10), random_element(rng, 12, 10)),
+                            (2, 1, 0))):
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         is_bj_strong(x, y)
-        assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (2, 1, 0)
+        assert _counts(lapack_calls) == counts
 
 
 def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
-    x = random_element(np.random.default_rng(46), 4, 4)
-    for f in LAPACK:
-        lapack_calls[f] = 0
-    rho_cube_identity(x)
-    # the norm with the face from one eigensolve, one compression spectrum
-    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, 2, 0)
-    for f in LAPACK:
-        lapack_calls[f] = 0
-    operator_daugavet_witness(x)
-    # ||T|| and x_o from one eigensolve, then the norms of T T* T and of
-    # T + T T* T
-    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (2, 1, 0)
+    # ||x||, u and the face from one decomposition: an SVD with vectors at
+    # 4x4, a Gram eigensolve at 12x10.  Then the cube identity takes one
+    # compression spectrum, the operator witness the norms of T T* T and of
+    # T + T T* T, and the module check those of x<x,x> and alpha x + beta x<x,x>
+    rng = np.random.default_rng(46)
+    for x, cube, operator, module in (
+            (random_element(rng, 4, 4), (1, 1, 0), (3, 0, 0), (3, 0, 0)),
+            (random_element(rng, 12, 10), (0, 2, 0), (2, 1, 0), (2, 1, 0))):
+        for check, counts in ((rho_cube_identity, cube), (operator_daugavet_witness, operator),
+                              (lambda x: module_daugavet_check(x, 1.0, 0.5), module)):
+            lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+            check(x)
+            assert _counts(lapack_calls) == counts
+
+
+def test_unit_face_switches_driver_above_order_8(monkeypatch):
+    # top_face of an 8-column x takes one zgesdd with vectors and no
+    # eigensolve; of a 9-column x, one subset zheevr and no SVD
+    calls = []
+    for name in ("zgesdd", "zheevr", "zheevd"):
+        def driver(a, *args, _name=name, _orig=getattr(matcore, name), **kwargs):
+            calls.append((_name, kwargs.get("compute_uv", kwargs.get("range"))))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(matcore, name, driver)
+    rng = np.random.default_rng(52)
+    for n, expected in ((8, [("zgesdd", 1)]), (9, [("zheevr", "I")])):
+        for m in (3, n, 12):
+            calls.clear()
+            assert top_face(random_element(rng, m, n)).dim == 1
+            assert calls == expected
 
 
 def test_operator_witness_takes_one_top_eigenpair(monkeypatch):

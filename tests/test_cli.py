@@ -280,3 +280,19 @@ def test_value_errors_print_one_json_document(tmp_path, capsys, monkeypatch, cas
     assert out.err == ""
     doc = json.loads(out.out)
     assert list(doc) == ["error"] and doc["error"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_out_of_range_values_print_strict_json(tmp_path, capsys):
+    # rho_plus of two 1e200-scaled 3x3 elements is past the double range,
+    # which JSON cannot hold: the command fails with one error document
+    rng = np.random.default_rng(3)
+    x = _write(tmp_path, "x.json", 1e200 * random_element(rng, 3, 3))
+    y = _write(tmp_path, "y.json", 1e200 * random_element(rng, 3, 3))
+    for args in (["rho"], ["ortho", "--relation", "rho"]):
+        code = main([*args, "--x", x, "--y", y])
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert code == 2 and list(doc) == ["error"]

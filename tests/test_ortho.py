@@ -188,6 +188,17 @@ def test_verdicts_invariant_under_extreme_scales():
                                              x, y, real)
 
 
+@pytest.mark.filterwarnings("error")
+def test_parallel_max_norm_past_the_double_range_reads_inf():
+    # ||x + xi y|| = 2e308 is formed on the unit scale and read as a plain
+    # product, like every other scale-of-input number
+    x = 1e308 * np.eye(2)
+    rep = is_norm_parallel(x, x)
+    assert rep.holds
+    assert rep.data["numerical_radius"] == pytest.approx(1.0, abs=1e-12)
+    assert rep.data["max_norm"] == np.inf
+
+
 def test_small_element_is_not_zero():
     rng = np.random.default_rng(3)
     x, y = random_element(rng, 3, 3), random_element(rng, 3, 3)
