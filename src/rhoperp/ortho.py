@@ -171,11 +171,11 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     parallelism", Canad. Math. Bull. 58, 2015).  The margin is w(C) - 1,
     in [-1, 0] up to rounding.
 
-    The witness is xi = conj(v* C v) / |v* C v| for the v attaining the
-    radius (1 when v* C v = 0); ``data`` holds ``max_norm`` =
-    ||x + xi y||, attained at ``angle`` = arg xi, together with
-    ``numerical_radius`` and ``face_dim``.  A zero x or y is parallel
-    to everything, with xi = 1 and a numerical radius of 0.
+    The witness is xi = conj(p)/|p| for the support point p = v* C v at the
+    radius (1 when |p| <= tol, where its phase is rounding); ``data`` holds
+    ``max_norm`` = ||x + xi y|| at ``angle`` = arg xi (the maximum over xi
+    only when the relation holds), ``numerical_radius`` and ``face_dim``.
+    A zero x or y is parallel to everything, with xi = 1 and radius 0.
     """
     _check_tol(tol)
     nx, ny, u, w, face, g = _reduce(x, y)
@@ -183,10 +183,8 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
         return _report(Relation.PARALLEL, 0.0, tol,
                        {"max_norm": nx + ny, "angle": 0.0, "numerical_radius": 0.0,
                         "face_dim": face.dim}, lambda: 1.0 + 0.0j)
-    comp = _compress(face, g)
-    radius, v = _numerical_radius(comp)
-    val = complex(v.conj() @ comp @ v)
-    xi = abs(val) / val if val != 0.0 else 1.0 + 0.0j
+    radius, p = _numerical_radius(_compress(face, g))
+    xi = abs(p) / p if abs(p) > tol else 1.0 + 0.0j
     c = max(nx, ny)
     return _report(Relation.PARALLEL, radius - 1.0, tol,
                    {"max_norm": c * _norm((nx / c) * u + xi * (ny / c) * w),

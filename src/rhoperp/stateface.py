@@ -323,14 +323,14 @@ def _minimize_support(m: np.ndarray) -> tuple[float, float]:
     return _support_extremum(m, -1.0)
 
 
-def _numerical_radius(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """w(M) = max_t lambda_max(Re(e^{it} M)) and v, the top eigenvector of
-    Re(e^{it} M) at the maximizing angle: |v* M v| = w(M) to the accuracy of
-    the level-set search; [c] gives |c|."""
+def _numerical_radius(m: np.ndarray) -> tuple[float, complex]:
+    """w(M) = max_t lambda_max(Re(e^{it} M)) and p = v* M v, the support point
+    of W(M) at the maximizing angle (v the top eigenvector of Re(e^{it} M)):
+    |p| = w(M) to the accuracy of the level-set search; [c] gives |c| and c."""
     if m.shape[0] == 1:
-        return abs(complex(m[0, 0])), np.ones(1, dtype=np.complex128)
+        return abs(complex(m[0, 0])), complex(m[0, 0])
     t, w = _support_extremum(m, 1.0)
-    return w, _support_points(m, np.array([-t]))[1][0]
+    return w, complex(_support_points(m, np.array([-t]))[0][0])
 
 
 def _quad_form(m: np.ndarray, z: np.ndarray) -> complex:

@@ -255,7 +255,8 @@ def test_daugavet_document_schema(tmp_path, capsys):
     assert len(op["vector"]) == 2 and all(len(v) == 2 for v in op["vector"])
 
 
-@pytest.mark.parametrize("case", ["unknown-property", "no-trials", "infinite-entry",
+@pytest.mark.parametrize("case", ["unknown-property", "empty-suite", "blank-suite",
+                                  "no-trials", "infinite-entry",
                                   "cube-beyond-range", "no-convergence", "unwritable-json-out"])
 def test_value_errors_print_one_json_document(tmp_path, capsys, monkeypatch, case):
     inf = tmp_path / "inf.json"
@@ -268,6 +269,8 @@ def test_value_errors_print_one_json_document(tmp_path, capsys, monkeypatch, cas
     monkeypatch.setattr(cli, "rho_fd", no_convergence)
     args = {
         "unknown-property": ["check", "--suite", "bogus"],
+        "empty-suite": ["check", "--suite", ""],
+        "blank-suite": ["check", "--suite", ","],
         "no-trials": ["check", "--trials", "0"],
         "infinite-entry": ["rho", "--x", str(inf), "--y", x],
         "cube-beyond-range": ["daugavet", "--x", _write(tmp_path, "big.json", 1e120 * np.eye(2))],

@@ -122,6 +122,19 @@ def test_parallel_zero_element_has_unit_witness():
         assert (rep.data["numerical_radius"], rep.data["face_dim"]) == (0.0, dim)
 
 
+def test_parallel_witness_is_one_when_the_support_point_is_rounding():
+    # on a BJ-orthogonal pair with a 1-dim face, C = [c] with |c| ~ 1e-16:
+    # xi = 1 instead of the phase of c, so max_norm reads ||x + y||
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        m, n = rng.integers(2, 7, size=2)
+        x, y = bj_orthogonal_pair(rng, m, n)
+        rep = is_norm_parallel(x, y)
+        assert rep.data["numerical_radius"] <= 1e-12
+        assert rep.data["angle"] == 0.0
+        assert rep.data["max_norm"] == pytest.approx(module_norm(x + y), rel=1e-12)
+
+
 PREDICATES = (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
               is_norm_parallel)
 
@@ -454,3 +467,51 @@ def test_scaled_bj_pairs_answer_like_unit_scale():
         assert abs(big.rho_minus / 1e6 - unit.rho_minus) <= slack
         for pred in (is_bj_real, is_rho_orthogonal):
             assert pred(1e3 * x, 1e3 * y).holds == pred(x, y).holds
+
+
+def _haar_unitary(rng, k):
+    q, r = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _diagonal_family_margins(a, b, mult):
+    """Margins of the six relations and w(C) for x = U D(a) W, y = U D(b) W
+    whose top face is the first mult indices, from a and b alone: C is
+    unitarily similar to diag(p), p_i = conj(a_i) b_i / (max|a| max|b|)."""
+    q = a.conj() * b / (np.abs(a).max() * np.abs(b).max())
+    p = q[:mult]
+    # the support minimum of the polygon conv{p_i} lies at a vertex normal
+    # or where the sinusoids of two vertices cross
+    d = (p[:, None] - p[None, :]).ravel()
+    t = np.concatenate([np.pi - np.angle(p), 0.5 * np.pi - np.angle(d),
+                        1.5 * np.pi - np.angle(d)])
+    bj = (np.exp(1j * t)[:, None] * p[None, :]).real.max(axis=1).min()
+    hi, lo = p.real.max(), p.real.min()
+    margins = {"ip": -np.abs(q).max(), "bj": bj, "bj-real": min(hi, -lo),
+               "bj-strong": -np.abs(p).min(), "rho": -abs(hi + lo) / 2.0,
+               "parallel": np.abs(p).max() - 1.0}
+    return margins, np.abs(p).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 5), extra=st.integers(0, 2),
+       mult=st.integers(1, 5), edge=st.booleans())
+def test_margins_match_closed_forms_on_diagonal_families(seed, n, extra, mult, edge):
+    # ROADMAP item 2's family: faces of dimension 1 to n, the numerical range
+    # of C the polygon conv{p_i}; with edge, 0 lies on the segment [p_0, p_1]
+    rng = np.random.default_rng(seed)
+    m, mult = n + extra, min(mult, n)
+    mags = np.concatenate([np.ones(mult), rng.uniform(0.05, 0.9, n - mult)])
+    a = 10.0 ** rng.uniform(-2, 2) * mags * np.exp(2j * np.pi * rng.uniform(size=n))
+    b = rng.uniform(0.05, 2.0, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    if edge and mult >= 2:
+        b[1] = -rng.uniform(0.2, 5.0) * np.conj(a[0]) * b[0] / np.conj(a[1])
+    u, w = _haar_unitary(rng, m), _haar_unitary(rng, n)
+    x, y = (u[:, :n] * a) @ w, (u[:, :n] * b) @ w
+    want, radius = _diagonal_family_margins(a, b, mult)
+    for pred in PREDICATES:
+        rep = pred(x, y)
+        assert abs(rep.margin - want[rep.relation.value]) <= 1e-12, rep.relation.value
+    rep = is_norm_parallel(x, y)
+    assert rep.data["face_dim"] == mult
+    assert abs(rep.data["numerical_radius"] - radius) <= 1e-12

@@ -7,7 +7,7 @@ from rhoperp import (ShapeMismatch, bj_grid_oracle, bj_real_grid_oracle,
                      inner_product, is_bj, is_bj_real, is_norm_parallel,
                      module_norm, operator_norm, parallel_grid_oracle,
                      property_names, property_suite, strong_bj_sample_oracle)
-from rhoperp import matcore
+from rhoperp import matcore, verify
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
                             random_element)
@@ -41,13 +41,13 @@ def test_bj_grid_oracle_complex_scalar_violation():
 ], ids=lambda v: getattr(v, "__name__", ""))
 def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
     # the oracles take lists, raise ShapeMismatch and reject NaN like every
-    # public operation, and norm by SVD alone: no eigensolve of the
+    # public operation, and norm by numpy's SVD alone: no LAPACK call of the
     # spectral code they check
-    def no_eigensolve(*args, **kwargs):
-        raise AssertionError("an oracle called a matcore eigensolver")
+    def no_matcore_lapack(*args, **kwargs):
+        raise AssertionError("an oracle called a matcore LAPACK kernel")
 
-    monkeypatch.setattr(matcore, "zheevr", no_eigensolve)
-    monkeypatch.setattr(matcore, "zheevd", no_eigensolve)
+    for name in ("zheevr", "zheevd", "zgesdd"):
+        monkeypatch.setattr(matcore, name, no_matcore_lapack)
     x, y = [[1.0], [0.0]], [[1.0j], [0.0]]
     result = oracle(x, y)
     assert (result[0] == pytest.approx(expected, abs=1e-9) if isinstance(result, tuple)
@@ -192,6 +192,39 @@ def test_property_suite_rejects_unknown_names():
         property_suite(seed=0, trials=5, names=["no-such-property"])
     with pytest.raises(ValueError):
         property_suite(seed=0, trials=0)
+    with pytest.raises(ValueError):
+        property_suite(seed=0, trials=5, names=[])
+
+
+def test_property_suite_checks_names_before_running(monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("rho-p1 ran")
+
+    monkeypatch.setattr(verify, "rho_pair", ran)
+    with pytest.raises(ValueError, match="bogus"):
+        property_suite(seed=0, trials=5, names=["rho-p1", "bogus"])
+
+
+def test_one_property_builds_one_stream(monkeypatch):
+    # the property at registry index i draws from the i-th spawned child of
+    # the seed, built on its own: no spawn of the other 31
+    i = property_names().index("cube-identity")
+    child = np.random.SeedSequence(9).spawn(len(property_names()))[i]
+    want = verify._PROPERTIES[i][1](np.random.default_rng(child), 3)
+    built = []
+
+    class OneStream(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.spawn_key)
+
+        def spawn(self, n_children):
+            raise AssertionError("spawned every child stream")
+
+    monkeypatch.setattr(np.random, "SeedSequence", OneStream)
+    (got,) = property_suite(seed=9, trials=3, names=["cube-identity"]).results
+    assert built == [(i,)]
+    assert (got.trials, got.failures, got.worst_margin) == want
 
 
 def test_property_suite_payload_schema():
