@@ -9,7 +9,7 @@ class ShapeMismatch(RhoperpError):
     """Operands have incompatible matrix shapes."""
 
 
-class NonHermitianInput(RhoperpError):
+class NonHermitianInput(RhoperpError, ValueError):
     """Matrix deviates from Hermitian beyond the allowed drift."""
 
 

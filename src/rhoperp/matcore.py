@@ -42,7 +42,10 @@ _TINY = np.finfo(float).tiny
 # n = 8, 0.55 times at n = 16 and 0.46 times at n = 40.  It also splits
 # stateface._unit_face: a zgesdd with vectors took 7.2/6.9/16.7/7.8 us at
 # 2x2/4x4/8x8/3x8, the Gram matrix and its top two eigenpairs 18.2/17.9/
-# 35.9/33.2 us; at 16x16 the SVD took 55 us and the Gram route 32 us.
+# 35.9/33.2 us; at 16x16 the SVD took 55 us and the Gram route 32 us.  A wide
+# m-by-n x (n > 2m) keeps the SVD: at n = 128 and m = 32/64/96/120 it took
+# 0.60/1.9/3.6/5.0 ms, the Gram route 1.6/1.6/1.8/1.6 ms; 0.67 ms against
+# 73 ms at 16x512 and 0.16 ms against 5.7 s at 2x2000.
 _SUBSET_ABOVE = 8
 
 
@@ -173,18 +176,24 @@ class HermitianSpectrum:
 def hermitian_spectrum(h) -> HermitianSpectrum:
     """Spectral decomposition of a (numerically) Hermitian matrix.
 
-    Drift up to ``HERMITIAN_DRIFT_TOL`` relative is silently symmetrized
-    away; anything beyond raises :class:`NonHermitianInput`.  Both the
-    drift check and the solve run on the :func:`_prescaled` matrix, so no
-    finite entry overflows; the eigenvalues are scaled back.
+    Drift up to ``HERMITIAN_DRIFT_TOL`` relative is symmetrized away, and
+    anything beyond raises :class:`NonHermitianInput` (:func:`_hermitian_part`);
+    the solve runs on the prescaled matrix, and the eigenvalues are scaled back.
     """
     m = as_complex_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise NonHermitianInput(f"matrix of shape {m.shape} is not square")
+    h, s = _hermitian_part(m)
+    vals, vecs = _top_eigh(h, len(h))
+    return HermitianSpectrum(vals * s, vecs)
+
+
+def _hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Hermitian part of m/s, s) for a trusted square m, s from :func:`_prescaled`; the
+    one Hermitian rule: NonHermitianInput when ||m - m*|| > HERMITIAN_DRIFT_TOL ||m|| on m/s."""
     m, s = _prescaled(m)
     drift = _norm(m - m.conj().T)
     if drift > HERMITIAN_DRIFT_TOL * _norm(m):
         raise NonHermitianInput(f"matrix deviates from Hermitian by {drift * s:.3e} "
                                 f"(relative tol {HERMITIAN_DRIFT_TOL:.1e})")
-    vals, vecs = _top_eigh((m + m.conj().T) / 2.0, len(m))
-    return HermitianSpectrum(vals * s, vecs)
+    return (m + m.conj().T) / 2.0, s

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import NoConvergence
 from .hmodule import _as_pair, _unit
 from .matcore import _check_tol, _norm, _top_eigh
-from .stateface import StateWitness, _compress, _face_state, _reduce
+from .stateface import StateWitness, _face_state, _reduce
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def rho_minus(x, y) -> tuple[float, StateWitness]:
 def rho_pair(x, y) -> DerivativePair:
     """Both derivatives at once, sharing one face computation; for x = 0
     both are 0, attained by every state."""
-    nx, ny, _, _, face, g = _reduce(x, y)
-    hi, z_hi, lo, z_lo, _ = _rho_extremes(_compress(face, g))
+    nx, ny, _, _, face, _, c = _reduce(x, y)
+    hi, z_hi, lo, z_lo, _ = _rho_extremes(c)
     if not lo <= hi:
         raise AssertionError(f"derivative order violated: {lo!r} > {hi!r}")
     return DerivativePair(rho_plus=hi * nx * ny, rho_minus=lo * nx * ny,

@@ -5,7 +5,8 @@ on the unit pair u = x/||x||, w = y/||y||: with V the top face of <u, u>
 and G = <u, w> (so ||G|| <= 1), it returns an :class:`OrthoReport`
 carrying the boolean, a signed margin (a distance on the unit pair,
 linear in G), ``tol``, and a witness when the relation holds.  One rule,
-:func:`_report`, decides all six: ``holds == (margin >= -tol)``.
+:func:`_report`, decides all six: ``holds == (margin >= -tol)``.  Only ip
+forms the n-by-n G; the others read G* V and C = V* G V from ``_reduce``.
 
 =========  ===========================================  ==============================
 relation   margin                                       witness when it holds
@@ -42,8 +43,7 @@ import numpy as np
 from .errors import PreconditionFailed
 from .matcore import _check_tol, _min_eigval, _norm, _prescaled, _svd, as_complex_matrix
 from .normderiv import _rho_extremes
-from .stateface import (_carden_step, _compress, _face_state, _numerical_radius,
-                        _reduce, _zero_in_numrange)
+from .stateface import _carden_step, _face_state, _numerical_radius, _reduce, _zero_in_numrange
 
 DEFAULT_TOL = 1e-9
 
@@ -85,8 +85,8 @@ def _report(relation: Relation, margin: float, tol: float, data: dict,
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||."""
     _check_tol(tol)
-    nx, ny, _, _, _, g = _reduce(x, y)
-    val = _norm(g)
+    nx, ny, u, w, *_ = _reduce(x, y)
+    val = _norm(u.conj().T @ w)
     return _report(Relation.IP, -val, tol, {"inner_product_norm": val * nx * ny})
 
 
@@ -96,12 +96,12 @@ def _bj_decision(x, y, tol: float, real: bool):
     witness; for bj the certificate of 0 in W(V* G V) at slack tol, for
     bj-real one Carden step between the extreme eigenvectors of Re V* G V."""
     _check_tol(tol)
-    nx, ny, _, _, face, g = _reduce(x, y)
+    nx, ny, _, _, face, _, c = _reduce(x, y)
     if real:
-        hi, z_hi, lo, z_lo, h = _rho_extremes(_compress(face, g))
+        hi, z_hi, lo, z_lo, h = _rho_extremes(c)
         return (face, min(hi, -lo), lambda: _carden_step(h, z_hi, z_lo, 0.0),
                 {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
-    res = _zero_in_numrange(_compress(face, g), tol)
+    res = _zero_in_numrange(c, tol)
     data = {"support_min": res.margin * nx * ny}
     if res.contains_zero:
         data["certificate_residual"] = res.residual * nx * ny
@@ -142,8 +142,8 @@ def is_bj_strong(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     of the n-by-k G* V; the witness is the state of its right singular vector.
     """
     _check_tol(tol)
-    nx, ny, _, _, face, g = _reduce(x, y)
-    sv, vt = _svd(g.conj().T @ face.isometry)
+    nx, ny, _, _, face, gv, _ = _reduce(x, y)
+    sv, vt = _svd(gv)
     sigma, z = float(sv[-1]), vt[-1].conj()
     return _report(Relation.BJ_STRONG, -sigma, tol,
                    {"annihilation_value": sigma * sigma * nx * ny * nx * ny},
@@ -156,8 +156,8 @@ def is_rho_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     The margin is -|lambda_max + lambda_min|/2 of Re V* G V, in [-1, 0].
     """
     _check_tol(tol)
-    nx, ny, _, _, face, g = _reduce(x, y)
-    hi, _, lo, _, _ = _rho_extremes(_compress(face, g))
+    nx, ny, *_, c = _reduce(x, y)
+    hi, _, lo, _, _ = _rho_extremes(c)
     return _report(Relation.RHO, -abs(hi + lo) / 2.0, tol,
                    {"rho_plus": hi * nx * ny, "rho_minus": lo * nx * ny})
 
@@ -178,16 +178,16 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
     A zero x or y is parallel to everything, with xi = 1 and radius 0.
     """
     _check_tol(tol)
-    nx, ny, u, w, face, g = _reduce(x, y)
+    nx, ny, u, w, face, _, c = _reduce(x, y)
     if nx == 0.0 or ny == 0.0:
         return _report(Relation.PARALLEL, 0.0, tol,
                        {"max_norm": nx + ny, "angle": 0.0, "numerical_radius": 0.0,
                         "face_dim": face.dim}, lambda: 1.0 + 0.0j)
-    radius, p = _numerical_radius(_compress(face, g))
+    radius, p = _numerical_radius(c)
     xi = abs(p) / p if abs(p) > tol else 1.0 + 0.0j
-    c = max(nx, ny)
+    top = max(nx, ny)
     return _report(Relation.PARALLEL, radius - 1.0, tol,
-                   {"max_norm": c * _norm((nx / c) * u + xi * (ny / c) * w),
+                   {"max_norm": top * _norm((nx / top) * u + xi * (ny / top) * w),
                     "angle": float(np.angle(xi) % (2.0 * np.pi)),
                     "numerical_radius": radius, "face_dim": face.dim},
                    lambda: xi)

@@ -28,7 +28,8 @@ A generic x gives a 1-by-1 compression [c], decided from W([c]) = {c}.
 
 Inputs are validated once, at public entry; the ``_``-kernels trust
 their arrays (complex128, finite, shapes matching).  The pair operations
-share :func:`_reduce`.  A zero x gives u = 0, whose face is every state.
+share :func:`_reduce`, which gives G* V and C = V* G V for G = <u, w>
+without forming G.  A zero x gives u = 0, whose face is every state.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_SUBSET_ABOVE, _TINY, HERMITIAN_DRIFT_TOL, _check_tol, _finite,
+from .matcore import (_SUBSET_ABOVE, _TINY, _check_tol, _finite, _hermitian_part,
                       _min_eigval, _norm, _pencil, _prescaled, _rotated_top, _svd, _top_eigh,
-                      as_complex_matrix, operator_norm)
+                      as_complex_matrix)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -81,7 +82,7 @@ class TopFace:
 
 @dataclass(frozen=True)
 class StateWitness:
-    """Density matrix p representing the state a -> tr(p a)."""
+    """Density matrix p of the state a -> tr(p a), Hermitian as in ``hermitian_spectrum``."""
 
     density: np.ndarray
 
@@ -89,9 +90,8 @@ class StateWitness:
         d = as_complex_matrix(self.density)
         if d.shape[0] != d.shape[1]:
             raise ShapeMismatch(f"density of shape {d.shape} is not square")
-        if operator_norm(d - d.conj().T) > HERMITIAN_DRIFT_TOL * (1.0 + operator_norm(d)):
-            raise ValueError("density must be Hermitian")
-        low = _min_eigval((d + d.conj().T) / 2.0)
+        h, s = _hermitian_part(d)  # NonHermitianInput is a ValueError
+        low = _min_eigval(h) * s
         if low < -1e-10:
             raise ValueError(f"density has negative eigenvalue {low:.3e}")
         _check_trace(d)
@@ -146,24 +146,24 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     """(||x||, u = x/||x||, top face of <u, u>) for a trusted x, from one
     decomposition of xs = x/s, s the exact power of two of :func:`_prescaled`
     (so 2^j x gives the same u): with r = ||xs||, ||x|| = s r and u = xs/r.
-    Up to ``_SUBSET_ABOVE`` columns it is one zgesdd with vectors of xs
-    (:func:`_svd`): r is the top singular value, the eigenvalues of <xs, xs>
-    are the squared singular values (and 0 past the row count), the face
-    vectors right singular vectors.  Above, it is the top two eigenpairs of
-    <xs, xs> (:func:`_top_eigh`), r^2 the largest, solved again in full only
-    when both join the face.  The face, its gap and its near-degeneracy flag
-    are read relative to r^2.  An x of norm below the smallest normal double
-    gives (0.0, 0, the whole space).
+    An m-by-n x with ``_SUBSET_ABOVE`` < n <= 2m takes the top two eigenpairs
+    of <xs, xs> (:func:`_top_eigh`), r^2 the largest, in full only when both join
+    the face; any other x (few columns, or wide) one thin zgesdd with vectors
+    (:func:`_svd`): r the top singular value, the eigenvalues of <xs, xs> the
+    squared singular values (0 past the row count), the face vectors right
+    singular vectors.  The face, its gap and its near-degeneracy flag are read
+    relative to r^2; a norm below the smallest normal double gives (0.0, 0, the whole space).
     """
     xs, s = _prescaled(x)
     n = xs.shape[1]
-    if n <= _SUBSET_ABOVE:
-        sv, vt = _svd(xs)
-        root, vals, vecs = float(sv[0]), sv * sv, vt.conj().T
-    else:
+    gram_route = _SUBSET_ABOVE < n <= 2 * xs.shape[0]
+    if gram_route:
         gram = xs.conj().T @ xs
         vals, vecs = _top_eigh(gram, 2)
         root = math.sqrt(vals[0])
+    else:
+        sv, vt = _svd(xs)
+        root, vals, vecs = float(sv[0]), sv * sv, vt.conj().T
     nx = s * root
     if nx == np.inf:
         raise ValueError("module norm beyond the double range")
@@ -173,7 +173,7 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     lam = float(vals[0])
     cut = (1.0 - _FACE_GAP_TOL) * lam
     k = np.count_nonzero(vals >= cut)
-    if k == len(vals) < n and n > _SUBSET_ABOVE:
+    if k == len(vals) < n and gram_route:
         vals, vecs = _top_eigh(gram, n)
         k = np.count_nonzero(vals >= cut)
     # the largest eigenvalue below the face; none (gap inf) if k = n
@@ -193,26 +193,21 @@ def state_value(p: StateWitness, a) -> complex:
 def face_compression(face: TopFace, a) -> np.ndarray:
     """Compression V* a V of an algebra element to the face (k-by-k)."""
     a = as_complex_matrix(a)
-    n = face.isometry.shape[0]
-    if a.shape != (n, n):
-        raise ShapeMismatch(f"algebra element {a.shape} vs face on dimension {n}")
-    return _compress(face, a)
-
-
-def _compress(face: TopFace, a: np.ndarray) -> np.ndarray:
-    """V* a V for a trusted a."""
     v = face.isometry
+    if a.shape != (len(v), len(v)):
+        raise ShapeMismatch(f"algebra element {a.shape} vs face on dimension {len(v)}")
     return v.conj().T @ a @ v
 
 
-def _reduce(x, y) -> tuple[float, float, np.ndarray, np.ndarray, TopFace, np.ndarray]:
-    """(||x||, ||y||, u, w, top face of u, G = <u, w>) for the validated
-    pair: ||x||, u = x/||x|| and the face from :func:`_unit_face`, ||y||
-    and w = y/||y|| from one SVD.  Every relation is read off the face and G."""
+def _reduce(x, y) -> tuple[float, float, np.ndarray, np.ndarray, TopFace, np.ndarray, np.ndarray]:
+    """(||x||, ||y||, u, w, top face V of u, G* V, C = V* G V) for the validated pair:
+    ||x||, u = x/||x|| and V from :func:`_unit_face`, ||y||, w = y/||y|| from one SVD;
+    G = <u, w> is not formed, G* V = w* (u V) is n-by-k and C = (G* V)* V k-by-k."""
     x, y = _as_pair(x, y)
     nx, u, face = _unit_face(x)
     ny, w = _unit(y)
-    return nx, ny, u, w, face, u.conj().T @ w
+    gv = w.conj().T @ (u @ face.isometry)
+    return nx, ny, u, w, face, gv, gv.conj().T @ face.isometry
 
 
 def state_from_face_vector(face: TopFace, zeta) -> StateWitness:

@@ -286,14 +286,17 @@ def _dims(rng, lo=1, hi=6):
     return int(rng.integers(lo, hi + 1)), int(rng.integers(lo, hi + 1))
 
 
-def _mixed_pair(rng, i):
-    m, n = _dims(rng, 2, 6)
-    kind = i % 4
-    if kind == 2:
-        return inner_orthogonal_pair(rng, m, n)
-    if kind == 3:
-        return bj_orthogonal_pair(rng, m, n)
+def _gaussian_pair(rng, lo=1):
+    """Two Gaussian elements of one random shape, m and n in lo..6."""
+    m, n = _dims(rng, lo)
     return random_element(rng, m, n), random_element(rng, m, n)
+
+
+def _mixed_pair(rng, i):
+    """Gaussian (i = 0, 1 mod 4), ip- (2) or BJ-orthogonal (3), m and n in 2..6."""
+    if i % 4 < 2:
+        return _gaussian_pair(rng, 2)
+    return (inner_orthogonal_pair if i % 4 == 2 else bj_orthogonal_pair)(rng, *_dims(rng, 2, 6))
 
 
 @_margin_property("norm-submultiplicative")
@@ -323,9 +326,8 @@ def _spectral_reconstruction(rng):
 
 @_margin_property("inner-product-axioms")
 def _inner_product_axioms(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
-    a = random_element(rng, n, n)
+    x, y = _gaussian_pair(rng)
+    a = random_element(rng, x.shape[1], x.shape[1])
     scale = 1.0 + module_norm(x) * module_norm(y)
     sym = operator_norm(adjoint(inner_product(x, y)) - inner_product(y, x))
     psd = float(hermitian_spectrum(inner_product(x, x)).eigenvalues[-1])
@@ -344,16 +346,14 @@ def _module_norm_consistency(rng):
 
 @_margin_property("cauchy-schwarz-norm")
 def _cauchy_schwarz_norm(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     return module_norm(x) * module_norm(y) + 1e-9 - operator_norm(inner_product(x, y))
 
 
 @_margin_property("cauchy-schwarz-state-gap")
 def _cauchy_schwarz_state_gap(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
-    p = random_state(rng, n)
+    x, y = _gaussian_pair(rng)
+    p = random_state(rng, x.shape[1])
     scale = 1.0 + (module_norm(x) * module_norm(y)) ** 2
     return cauchy_schwarz_gap(p, x, y) + 1e-9 * scale
 
@@ -389,8 +389,7 @@ def _off_face_deficit(rng):
 
 @_margin_property("rho-p1")
 def _rho_p1(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     nx, ny = module_norm(x), module_norm(y)
     pair = rho_pair(x, y)
     self_pair = rho_pair(x, x)
@@ -404,8 +403,7 @@ def _rho_p1(rng):
 
 @_margin_property("rho-p2")
 def _rho_p2(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     tol = 1e-8 * (1.0 + module_norm(x) * module_norm(y))
     p = rho_pair(x, y)
     p_negx = rho_pair(-x, y)
@@ -418,8 +416,7 @@ def _rho_p2(rng):
 
 @_margin_property("rho-p3")
 def _rho_p3(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     alpha = complex(rng.standard_normal(), rng.standard_normal())
     nx = module_norm(x)
     base = rho_pair(x, y)
@@ -431,8 +428,7 @@ def _rho_p3(rng):
 
 @_margin_property("rho-p4")
 def _rho_p4(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     alpha = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
     beta = complex(rng.standard_normal(), rng.standard_normal()) + 0.2
     phase = np.exp(1j * (np.angle(beta) - np.angle(alpha)))
@@ -446,8 +442,7 @@ def _rho_p4(rng):
 
 @_margin_property("rho-p5")
 def _rho_p5(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     base = rho_pair(x, y).rho_plus
     d = [rho_pair(x + t * y, y).rho_plus - base for t in (1e-2, 1e-4, 1e-6)]
     fuzz = 1e-9 * (1.0 + module_norm(x) * module_norm(y))
@@ -457,8 +452,7 @@ def _rho_p5(rng):
 
 @_margin_property("rho-closed-vs-fd")
 def _rho_closed_vs_fd(rng):
-    m, n = _dims(rng)
-    x, y = random_element(rng, m, n), random_element(rng, m, n)
+    x, y = _gaussian_pair(rng)
     pair = rho_pair(x, y)
     tol = 1e-5 * (1.0 + module_norm(x) * module_norm(y))
     return [tol - abs(rho_fd(x, y, "+") - pair.rho_plus),
@@ -587,8 +581,7 @@ def _implication_chains(rng, trials):
 
 @_margin_property("bj-norm-lower-bound", cap=120)
 def _bj_norm_lower_bound(rng):
-    m, n = _dims(rng, 2, 6)
-    x, y = bj_orthogonal_pair(rng, m, n)
+    x, y = bj_orthogonal_pair(rng, *_dims(rng, 2, 6))
     if not is_bj(x, y).holds:
         return -1.0
     my = m_lower_bound(y)
@@ -732,14 +725,16 @@ def property_suite(seed: int = 0, trials: int = 200, names=None) -> SuiteReport:
 
     Deterministic for a fixed seed: the property at registry index i draws
     from ``SeedSequence(seed, spawn_key=(i,))``, the i-th child of the seed,
-    so a subset (``names``; empty or unknown names raise ValueError before
-    any property runs) reproduces the full run's numbers.  Expensive searches
-    cap their own trial counts; the cheap algebraic sweeps use ``trials``.
+    so a subset (``names``) reproduces the full run's numbers; a str, empty or
+    unknown names, or a non-integer or non-positive ``trials`` raise ValueError
+    before any property runs.  Expensive searches cap their own trial counts.
     Each result carries the wall time of its property in ``seconds``
     (``time.perf_counter``), the one field that varies between runs.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(names, str):
+        raise ValueError(f"names must be a collection of names, not the string {names!r}")
     index = {name: i for i, (name, _) in enumerate(_PROPERTIES)}
     wanted = index.keys() if names is None else set(names)
     if not wanted <= index.keys():

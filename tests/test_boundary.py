@@ -10,6 +10,7 @@ function grows into an angle grid.
 
 import ast
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,8 +220,9 @@ def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
 
 
 def test_unit_face_switches_driver_above_order_8(monkeypatch):
-    # top_face of an 8-column x takes one zgesdd with vectors and no
-    # eigensolve; of a 9-column x, one subset zheevr and no SVD
+    # top_face of an m-by-n x takes one subset zheevr and no SVD when
+    # 8 < n <= 2m, else one zgesdd with vectors and no eigensolve: at most
+    # 8 columns, or wide (3x9 took zheevr while the rule read n alone)
     calls = []
     for name in ("zgesdd", "zheevr", "zheevd"):
         def driver(a, *args, _name=name, _orig=getattr(matcore, name), **kwargs):
@@ -229,11 +231,14 @@ def test_unit_face_switches_driver_above_order_8(monkeypatch):
 
         monkeypatch.setattr(matcore, name, driver)
     rng = np.random.default_rng(52)
-    for n, expected in ((8, [("zgesdd", 1)]), (9, [("zheevr", "I")])):
-        for m in (3, n, 12):
-            calls.clear()
-            assert top_face(random_element(rng, m, n)).dim == 1
-            assert calls == expected
+    svd, subset = [("zgesdd", 1)], [("zheevr", "I")]
+    for (m, n), expected in (((3, 8), svd), ((8, 8), svd), ((12, 8), svd),
+                             ((3, 9), svd), ((9, 9), subset), ((12, 9), subset),
+                             ((12, 10), subset), ((5, 10), subset), ((4, 10), svd),
+                             ((16, 512), svd), ((2, 2000), svd)):
+        calls.clear()
+        assert top_face(random_element(rng, m, n)).dim == 1
+        assert calls == expected, (m, n)
 
 
 def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
@@ -260,6 +265,22 @@ def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
     assert subsets == [((12, 12), "I", 11, 12)] and full == []
     assert vectors == [0, 0]
     assert rep.within_tol and abs(rep.norm_t - sigma) <= 1e-13 * sigma
+
+
+@pytest.mark.parametrize("op", (is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
+                                is_norm_parallel))
+def test_wide_pair_needs_no_n_by_n_matrix(op):
+    # a 2x2000 pair: the face from a thin SVD and the relations from the
+    # 2000-by-k G* V, so no 2000x2000 Gram or G (64 MB each) is formed
+    rng = np.random.default_rng(53)
+    x, y = random_element(rng, 2, 2000), random_element(rng, 2, 2000)
+    tracemalloc.start()
+    try:
+        op(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_bj_on_a_scalar_face_makes_no_batched_call(lapack_calls):

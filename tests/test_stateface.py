@@ -9,8 +9,8 @@ from scipy.linalg.lapack import zggev
 from scipy.optimize import minimize_scalar
 
 from rhoperp import matcore, stateface
-from rhoperp import (NotUnitVector, ShapeMismatch, StateWitness, ZeroElement,
-                     cauchy_schwarz_gap, face_compression, inner_product, is_bj,
+from rhoperp import (NonHermitianInput, NotUnitVector, ShapeMismatch, StateWitness,
+                     ZeroElement, cauchy_schwarz_gap, face_compression, inner_product, is_bj,
                      is_norm_parallel, maximally_mixed, module_norm,
                      operator_norm, state_from_face_vector, state_value,
                      top_face, zero_in_numrange)
@@ -167,6 +167,20 @@ def test_state_witness_validation():
         StateWitness(np.ones((2, 3)))
     with pytest.raises(ValueError):
         StateWitness(np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex))  # not Hermitian
+
+
+def test_state_witness_and_hermitian_spectrum_share_one_hermitian_rule():
+    # drift 6e-11 on a matrix of norm 0.5: 1.2e-10 relative, beyond the
+    # rule of hermitian_spectrum, so the density is rejected too
+    d = np.array([[0.5, 3e-11j], [3e-11j, 0.5]])
+    with pytest.raises(NonHermitianInput):
+        hermitian_spectrum(d)
+    with pytest.raises(ValueError, match="Hermitian"):
+        StateWitness(d)
+    # half the drift passes both
+    d = np.array([[0.5, 1.5e-11j], [1.5e-11j, 0.5]])
+    hermitian_spectrum(d)
+    assert StateWitness(d).density[0, 1] == 1.5e-11j
 
 
 def test_face_compression_full_face_is_unitary_conjugation():

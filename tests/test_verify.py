@@ -201,8 +201,14 @@ def test_property_suite_checks_names_before_running(monkeypatch):
         raise AssertionError("rho-p1 ran")
 
     monkeypatch.setattr(verify, "rho_pair", ran)
-    with pytest.raises(ValueError, match="bogus"):
-        property_suite(seed=0, trials=5, names=["rho-p1", "bogus"])
+    # a str is not read as a set of one-letter names, nor a bool or a
+    # fraction as a trial count
+    for kwargs, match in (({"names": ["rho-p1", "bogus"]}, "bogus"),
+                          ({"names": "rho-p1"}, "names must be"),
+                          ({"names": ["rho-p1"], "trials": 2.5}, "trials must be"),
+                          ({"names": ["rho-p1"], "trials": True}, "trials must be")):
+        with pytest.raises(ValueError, match=match):
+            property_suite(**{"seed": 0, "trials": 5, **kwargs})
 
 
 def test_one_property_builds_one_stream(monkeypatch):
