@@ -17,9 +17,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
-from .matcore import _check_tol, _norm, as_complex_matrix
+from .matcore import _SUBSET_ABOVE, _check_tol, _norm, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import StateWitness, _face_state, _unit_face
+
+
+def _cube(u: np.ndarray) -> np.ndarray:
+    """u <u, u> = u u* u for an m-by-n u.  A wide u with more than
+    ``_SUBSET_ABOVE`` columns takes the m-by-m u u* first, so no large n-by-n
+    product is formed; any other u takes u (u* u), which fixes the rounding
+    of every output on the small shapes."""
+    m, n = u.shape
+    if m < n and _SUBSET_ABOVE < n:
+        return (u @ u.conj().T) @ u
+    return u @ (u.conj().T @ u)
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ def module_daugavet_check(x, alpha: float, beta: float, tol: float = 1e-9) -> Da
     rhs = nx * (alpha + b)
     if n3 == np.inf or rhs == np.inf:
         raise ValueError("||x||^3 or alpha ||x|| + beta ||x||^3 beyond the double range")
-    cube = u @ (u.conj().T @ u)
+    cube = _cube(u)
     lhs = nx * _norm(alpha * u + b * cube)
     residual = abs(lhs - rhs)
     cube_res = abs(_norm(cube) - 1.0) * n3
@@ -155,7 +166,7 @@ def operator_daugavet_witness(t, tol: float = 1e-8) -> OperatorWitnessReport:
     if n3 == np.inf:
         raise ValueError("||T||^3 beyond the double range")
     x_o = face.isometry[:, 0]
-    cube = s @ (s.conj().T @ s)
+    cube = _cube(s)
     nc = _norm(cube)
     sum_norm = nt * _norm(s + (nt * nt) * cube)
     t_att = abs(float(np.linalg.norm(s @ x_o)) - 1.0) * nt

@@ -2,12 +2,17 @@
 
 Every LAPACK call of the decision code goes through one choke point here:
 
-* :func:`_norm`, the largest singular value, from one ``zgesdd`` without
-  vectors (an SVD, so the oracles' norms stay apart from the eigensolves);
+* :func:`_norm`, the largest singular value: one ``zgesdd`` without vectors
+  while the smaller side is at most ``_SUBSET_ABOVE``, else the top
+  eigenvalue of the Gram matrix of that side, from :func:`_gram` and one
+  values-only :func:`_top_eigh`;
+* :func:`_singular_values`, all of them, from one ``zgesdd`` without vectors;
 * :func:`_svd`, the singular values and right vectors, from one ``zgesdd``;
-* :func:`_top_eigh`, the top j eigenpairs of a Hermitian matrix, from one
-  ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset ``zheevr`` above
-  it (``zheevd`` again when ``zheevr`` fails or returns fewer than j);
+* :func:`_gram`, the lower triangle of a Gram matrix a* a, from one ``zherk``;
+* :func:`_top_eigh`, the top j eigenpairs (or eigenvalues) of a Hermitian
+  matrix, from one ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset
+  ``zheevr`` above it (``zheevd`` again when ``zheevr`` fails or returns
+  fewer than j);
 * :func:`_min_eigval`, the smallest eigenvalue: one ``zheevd`` without vectors;
 * :func:`_rotated_top`, the top eigenvalues (or eigenvectors) of the
   rotations (e^{it} M + e^{-it} M*)/2, from one batched ``eigvalsh`` (``eigh``);
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import eigh, eigvalsh
+from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zgesdd, zggev, zheevd, zheevr
 
 from .errors import NonHermitianInput
@@ -45,7 +51,12 @@ _TINY = np.finfo(float).tiny
 # 35.9/33.2 us; at 16x16 the SVD took 55 us and the Gram route 32 us.  A wide
 # m-by-n x (n > 2m) keeps the SVD: at n = 128 and m = 32/64/96/120 it took
 # 0.60/1.9/3.6/5.0 ms, the Gram route 1.6/1.6/1.8/1.6 ms; 0.67 ms against
-# 73 ms at 16x512 and 0.16 ms against 5.7 s at 2x2000.
+# 73 ms at 16x512 and 0.16 ms against 5.7 s at 2x2000.  It splits _norm by
+# the smaller side: a value-only zgesdd took 198/615/3027/403/534/564 us at
+# 40x40/64x64/128x128/512x16/256x32/16x512, one zherk Gram matrix and its top
+# eigenvalue 157/427/2381/126/186/108 us (minimum of 7 interleaved runs),
+# within 6e-16 relative; the Gram route was 0.83 and 0.94 times as fast at
+# 12x12 and 16x16 (5 and 3 us lost), and 0.43 times at 8x3.
 _SUBSET_ABOVE = 8
 
 
@@ -81,11 +92,31 @@ def operator_norm(a) -> float:
 
 
 def _norm(m: np.ndarray) -> float:
-    """Largest singular value of a trusted m: one zgesdd without vectors."""
+    """Largest singular value of a trusted m.  While min(m.shape) is at most
+    ``_SUBSET_ABOVE`` it is the top value of one zgesdd without vectors, the
+    same call as :func:`_singular_values` made in place, as small elements
+    take it many times per operation; above, it is
+    s sqrt(lambda_max) for the Gram matrix of the smaller side of ms = m/s
+    (s from :func:`_prescaled`), lambda_max clamped at 0.  For a wide ms that
+    Gram matrix is the one of ms.T, the conjugate of ms ms*, same spectrum."""
+    rows, cols = m.shape
+    if rows <= _SUBSET_ABOVE or cols <= _SUBSET_ABOVE:
+        _, sv, _, info = zgesdd(m, compute_uv=0)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
+        return float(sv[0])
+    ms, s = _prescaled(m)
+    lam = _top_eigh(_gram(ms if rows >= cols else ms.T), 1, vectors=False)[0][0]
+    return s * math.sqrt(max(float(lam), 0.0))
+
+
+def _singular_values(m: np.ndarray) -> np.ndarray:
+    """The min(m.shape) singular values of a trusted m, descending, from one
+    zgesdd without vectors."""
     _, sv, _, info = zgesdd(m, compute_uv=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
-    return float(sv[0])
+    return sv
 
 
 def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,12 +129,19 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, vt
 
 
-def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a* a for a trusted a, from one zherk: only its lower triangle is set,
+    which is all that :func:`_top_eigh` reads."""
+    return zherk(1.0, a, trans=2, lower=1)
+
+
+def _top_eigh(h: np.ndarray, j: int, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(values, vectors): at least the j largest eigenpairs of a trusted
     Hermitian h (its lower triangle is read), values descending, column i
     of vectors a unit eigenvector for value i.  Both are reversed views of
     LAPACK's ascending output, so exactly equal eigenvalues come in the
     reverse of LAPACK's order; any basis of their eigenspace is valid.
+    With ``vectors`` false no eigenvector is computed: only values count.
 
     One LAPACK call: the full spectrum from zheevd at order up to
     ``_SUBSET_ABOVE`` or for j >= n, else exactly j pairs from zheevr
@@ -113,10 +151,11 @@ def _top_eigh(h: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n = h.shape[0]
     if _SUBSET_ABOVE < n and j < n:
-        vals, vecs, m, _, info = zheevr(h, range="I", il=n - j + 1, iu=n, lower=1)
+        vals, vecs, m, _, info = zheevr(h, compute_v=vectors, range="I", il=n - j + 1, iu=n,
+                                        lower=1)
         if info == 0 and m == j:
             return vals[j - 1::-1], vecs[:, ::-1]
-    vals, vecs, info = zheevd(h, lower=1)
+    vals, vecs, info = zheevd(h, compute_v=vectors, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
     return vals[::-1], vecs[:, ::-1]

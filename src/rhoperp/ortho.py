@@ -41,7 +41,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .matcore import _check_tol, _min_eigval, _norm, _prescaled, _svd, as_complex_matrix
+from .matcore import (_check_tol, _norm, _prescaled, _singular_values, _svd,
+                      as_complex_matrix)
 from .normderiv import _rho_extremes
 from .stateface import _carden_step, _face_state, _numerical_radius, _reduce, _zero_in_numrange
 
@@ -194,11 +195,17 @@ def is_norm_parallel(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
 
 
 def m_lower_bound(y) -> float:
-    """inf phi(<y, y>) over all states: lambda_min(<y, y>) = s^2 lambda_min(<ys, ys>),
-    ys = y/s for the exact power of two s of ``matcore._prescaled``."""
-    ys, s = _prescaled(as_complex_matrix(y))
-    low = _min_eigval(ys.conj().T @ ys) * s * s
-    if abs(low) == np.inf:
+    """inf phi(<y, y>) over all states: lambda_min(<y, y>).  For an m-by-n y
+    with n <= m it is sigma_min(ys)^2 s^2, ys = y/s for the exact power of two
+    s of ``matcore._prescaled``, from one zgesdd without vectors; for n > m,
+    <y, y> has rank at most m < n, and the bound is exactly 0."""
+    y = as_complex_matrix(y)
+    if y.shape[1] > y.shape[0]:
+        return 0.0
+    ys, s = _prescaled(y)
+    sigma = float(_singular_values(ys)[-1])
+    low = sigma * sigma * s * s
+    if low == np.inf:
         raise ValueError("lambda_min(<y, y>) beyond the double range")
     return low
 

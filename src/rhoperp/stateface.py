@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_SUBSET_ABOVE, _TINY, _check_tol, _finite, _hermitian_part,
+from .matcore import (_SUBSET_ABOVE, _TINY, _check_tol, _finite, _gram, _hermitian_part,
                       _min_eigval, _norm, _pencil, _prescaled, _rotated_top, _svd, _top_eigh,
                       as_complex_matrix)
 
@@ -147,8 +147,8 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     decomposition of xs = x/s, s the exact power of two of :func:`_prescaled`
     (so 2^j x gives the same u): with r = ||xs||, ||x|| = s r and u = xs/r.
     An m-by-n x with ``_SUBSET_ABOVE`` < n <= 2m takes the top two eigenpairs
-    of <xs, xs> (:func:`_top_eigh`), r^2 the largest, in full only when both join
-    the face; any other x (few columns, or wide) one thin zgesdd with vectors
+    of <xs, xs> (:func:`_gram`, :func:`_top_eigh`), r^2 the largest, in full
+    only when both join the face; any other x (few columns, or wide) one thin zgesdd with vectors
     (:func:`_svd`): r the top singular value, the eigenvalues of <xs, xs> the
     squared singular values (0 past the row count), the face vectors right
     singular vectors.  The face, its gap and its near-degeneracy flag are read
@@ -158,7 +158,7 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     n = xs.shape[1]
     gram_route = _SUBSET_ABOVE < n <= 2 * xs.shape[0]
     if gram_route:
-        gram = xs.conj().T @ xs
+        gram = _gram(xs)
         vals, vecs = _top_eigh(gram, 2)
         root = math.sqrt(vals[0])
     else:

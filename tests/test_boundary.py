@@ -18,7 +18,7 @@ import pytest
 from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
                      is_norm_parallel, is_rho_orthogonal, m_lower_bound,
-                     module_daugavet_check, operator_daugavet_witness,
+                     module_daugavet_check, operator_daugavet_witness, operator_norm,
                      rho_cube_identity, rho_fd, rho_pair, state_from_face_vector,
                      top_face, zero_in_numrange)
 from rhoperp import matcore
@@ -190,14 +190,15 @@ def _counts(counts):
 
 
 def test_bj_strong_takes_one_svd_beyond_the_face(lapack_calls):
-    # ||y||, then ||x|| with the face from one decomposition (an SVD up to
-    # order 8, a Gram eigensolve above), and sigma_min(G* V) by SVD: no
-    # eigh of the compressed Gram product V* G G* V
+    # ||y|| (an SVD up to a smaller side of 8, a Gram eigenvalue above), then
+    # ||x|| with the face from one decomposition (an SVD up to order 8, a Gram
+    # eigensolve above), and sigma_min(G* V) by SVD: no eigh of the
+    # compressed Gram product V* G G* V
     rng = np.random.default_rng(50)
     for (x, y), counts in (((random_element(rng, 4, 4), random_element(rng, 4, 4)), (3, 0, 0)),
                            (_two_dim_face_bj_pair(), (3, 0, 0)),
                            ((random_element(rng, 12, 10), random_element(rng, 12, 10)),
-                            (2, 1, 0))):
+                            (1, 2, 0))):
         lapack_calls.update(dict.fromkeys(lapack_calls, 0))
         is_bj_strong(x, y)
         assert _counts(lapack_calls) == counts
@@ -207,11 +208,12 @@ def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
     # ||x||, u and the face from one decomposition: an SVD with vectors at
     # 4x4, a Gram eigensolve at 12x10.  Then the cube identity takes one
     # compression spectrum, the operator witness the norms of T T* T and of
-    # T + T T* T, and the module check those of x<x,x> and alpha x + beta x<x,x>
+    # T + T T* T, and the module check those of x<x,x> and alpha x + beta x<x,x>:
+    # each norm an SVD at 4x4, a Gram eigenvalue at 12x10
     rng = np.random.default_rng(46)
     for x, cube, operator, module in (
             (random_element(rng, 4, 4), (1, 1, 0), (3, 0, 0), (3, 0, 0)),
-            (random_element(rng, 12, 10), (0, 2, 0), (2, 1, 0), (2, 1, 0))):
+            (random_element(rng, 12, 10), (0, 2, 0), (0, 3, 0), (0, 3, 0))):
         for check, counts in ((rho_cube_identity, cube), (operator_daugavet_witness, operator),
                               (lambda x: module_daugavet_check(x, 1.0, 0.5), module)):
             lapack_calls.update(dict.fromkeys(lapack_calls, 0))
@@ -243,14 +245,16 @@ def test_unit_face_switches_driver_above_order_8(monkeypatch):
 
 def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
     # ||T|| and x_o come from the top of the n-by-n Gram matrix of T, one
-    # subset solve above the crossover, and no SVD builds singular vectors
+    # subset solve above the crossover; the norms of T T* T and T + T T* T
+    # from two values-only top-1 solves of their Gram matrices, and no SVD
     t = random_element(np.random.default_rng(47), 40, 12)
     sigma = np.linalg.svd(t, compute_uv=False)[0]
     subsets, full, vectors = [], [], []
     zheevr, zgesdd = matcore.zheevr, matcore.zgesdd
 
     def subset(a, **kwargs):
-        subsets.append((a.shape, kwargs["range"], kwargs["il"], kwargs["iu"]))
+        subsets.append((a.shape, kwargs["compute_v"], kwargs["range"], kwargs["il"],
+                        kwargs["iu"]))
         return zheevr(a, **kwargs)
 
     def values(a, compute_uv=1, **kwargs):
@@ -262,16 +266,50 @@ def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
     monkeypatch.setattr(matcore, "zgesdd", values)
     monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: vectors.append(1))
     rep = operator_daugavet_witness(t)
-    assert subsets == [((12, 12), "I", 11, 12)] and full == []
-    assert vectors == [0, 0]
+    assert subsets == [((12, 12), True, "I", 11, 12)] + [((12, 12), False, "I", 12, 12)] * 2
+    assert full == [] and vectors == []
     assert rep.within_tol and abs(rep.norm_t - sigma) <= 1e-13 * sigma
 
 
-@pytest.mark.parametrize("op", (is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
-                                is_norm_parallel))
+def test_norm_switches_driver_above_a_smaller_side_of_8(monkeypatch):
+    # the norm of an m-by-n matrix takes one value-only zgesdd while
+    # min(m, n) <= 8, else one values-only top-1 zheevr on the Gram matrix of
+    # the smaller side, and no SVD
+    calls = []
+    for name in ("zgesdd", "zheevr", "zheevd"):
+        def driver(a, *args, _name=name, _orig=getattr(matcore, name), **kwargs):
+            keys = ("compute_uv",) if _name == "zgesdd" else ("compute_v", "range", "il", "iu")
+            calls.append((_name, a.shape, *(kwargs.get(k) for k in keys)))
+            return _orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(matcore, name, driver)
+    rng = np.random.default_rng(54)
+    for m, n in ((8, 8), (3, 8), (2, 2000), (9, 9), (12, 10), (40, 12), (512, 16), (16, 512)):
+        k = min(m, n)
+        expected = ([("zgesdd", (m, n), 0)] if k <= 8
+                    else [("zheevr", (k, k), False, "I", k, k)])
+        calls.clear()
+        operator_norm(random_element(rng, m, n))
+        assert calls == expected, (m, n)
+
+
+# Operations on a wide element (or pair) that form no n-by-n matrix; called
+# as op(x, y).
+WIDE_OPS = {
+    **{op.__name__: op for op in (is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
+                                  is_norm_parallel)},
+    "m_lower_bound": lambda x, y: m_lower_bound(y),
+    "module_daugavet_check": lambda x, y: module_daugavet_check(x, 1.0, 0.5),
+    "operator_daugavet_witness": lambda x, y: operator_daugavet_witness(x),
+}
+
+
+@pytest.mark.parametrize("op", WIDE_OPS.values(), ids=list(WIDE_OPS))
 def test_wide_pair_needs_no_n_by_n_matrix(op):
     # a 2x2000 pair: the face from a thin SVD and the relations from the
-    # 2000-by-k G* V, so no 2000x2000 Gram or G (64 MB each) is formed
+    # 2000-by-k G* V, the Daugavet cubes through the 2x2 u u*, and
+    # lambda_min(<y, y>) read off the shape, so no 2000x2000 Gram or G
+    # (64 MB each) is formed
     rng = np.random.default_rng(53)
     x, y = random_element(rng, 2, 2000), random_element(rng, 2, 2000)
     tracemalloc.start()
@@ -407,8 +445,12 @@ def test_lapack_guard_resolves_aliases(source, found):
     assert sorted(_lapack_references(source)) == sorted(found)
 
 
-def test_m_lower_bound_takes_one_eigensolve(lapack_calls):
-    # lambda_min(<y, y>) from one values-only eigensolve of the prescaled
-    # Gram matrix: no SVD for ||y|| first
-    m_lower_bound(random_element(np.random.default_rng(51), 5, 3))
-    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, 1, 0)
+def test_m_lower_bound_takes_one_svd(lapack_calls):
+    # lambda_min(<y, y>) = sigma_min(y)^2 from one value-only SVD of the
+    # prescaled y, with no Gram matrix; a wide y has lambda_min exactly 0
+    rng = np.random.default_rng(51)
+    m_lower_bound(random_element(rng, 5, 3))
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (1, 0, 0)
+    lapack_calls.update(dict.fromkeys(lapack_calls, 0))
+    assert m_lower_bound(random_element(rng, 3, 5)) == 0.0
+    assert (lapack_calls["svd"], lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (0, 0, 0)

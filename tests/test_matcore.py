@@ -121,6 +121,24 @@ def test_operator_norm_zero_iff_zero():
     assert operator_norm(a) > 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_operator_norm_matches_numpy_svd_on_both_routes():
+    # one zgesdd up to a smaller side of 8, the top eigenvalue of the Gram
+    # matrix of the prescaled smaller side above: generic, rank-one and zero
+    # matrices at scales from 1e-160 to 2^1000, within a few eps relative
+    rng = np.random.default_rng(8)
+    eps = np.finfo(float).eps
+    for m, n in ((3, 8), (8, 8), (2, 2000), (9, 9), (12, 10), (40, 12), (512, 16),
+                 (16, 512), (64, 64)):
+        generic = random_element(rng, m, n)
+        rank_one = random_element(rng, m, 1) @ random_element(rng, 1, n)
+        for a in (generic, rank_one):
+            for c in (1.0, 1e-160, 1e-150, 1e150, 2.0 ** 1000):
+                ref = np.linalg.svd(c * a, compute_uv=False)[0]
+                assert abs(operator_norm(c * a) - ref) <= 8.0 * eps * ref, (m, n, c)
+        assert operator_norm(np.zeros((m, n))) == 0.0
+
+
 def test_submultiplicativity_sweep():
     rng = np.random.default_rng(2)
     for _ in range(200):

@@ -330,6 +330,19 @@ def test_m_lower_bound_values():
     assert m_lower_bound(np.zeros((2, 2))) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_m_lower_bound_reads_small_singular_values():
+    # sigma_min(y)^2 to relative accuracy, where an eigenvalue of y* y would
+    # carry a rounding error near eps ||y||^2 (~1e-16); a wide y has rank < n,
+    # so its bound is exactly 0
+    rng = np.random.default_rng(12)
+    q1, q2 = (np.linalg.qr(random_element(rng, 6, 6))[0] for _ in range(2))
+    for low in (1e-8, 1e-10):
+        y = (q1 * np.r_[2.0, 1.5, 1.0, 0.7, 0.3, low]) @ q2
+        assert m_lower_bound(y) == pytest.approx(low * low, rel=1e-4)
+    for m, n in ((2, 5), (7, 8), (2, 2000)):
+        assert m_lower_bound(random_element(rng, m, n)) == 0.0
+
+
 @pytest.mark.filterwarnings("error")
 def test_m_lower_bound_across_scales():
     y = random_element(np.random.default_rng(3), 3, 3)
