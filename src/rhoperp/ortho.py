@@ -6,7 +6,8 @@ and G = <u, w> (so ||G|| <= 1), it returns an :class:`OrthoReport`
 carrying the boolean, a signed margin (a distance on the unit pair,
 linear in G), ``tol``, and a witness when the relation holds.  One rule,
 :func:`_report`, decides all six: ``holds == (margin >= -tol)``.  Only ip
-forms the n-by-n G; the others read G* V and C = V* G V from ``_reduce``.
+forms the n-by-n G, and not for a wide u; the others read G* V and
+C = V* G V from ``_reduce``.
 
 =========  ===========================================  ==============================
 relation   margin                                       witness when it holds
@@ -41,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .matcore import (_check_tol, _norm, _prescaled, _singular_values, _svd,
-                      as_complex_matrix)
+from .matcore import (_SUBSET_ABOVE, _check_tol, _gram, _norm, _prescaled, _singular_values,
+                      _svd, _top_eigh, as_complex_matrix)
 from .normderiv import _rho_extremes
 from .stateface import _carden_step, _face_state, _numerical_radius, _reduce, _zero_in_numrange
 
@@ -84,10 +85,23 @@ def _report(relation: Relation, margin: float, tol: float, data: dict,
 
 
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
-    """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||."""
+    """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||.
+
+    A wide m-by-n u (n > 2m and n > ``_SUBSET_ABOVE``) does not form the
+    n-by-n u* w: with Q the eigenvectors of the m-by-m u u* (:func:`_gram`,
+    :func:`_top_eigh`), the rows of Q* u are orthogonal, so
+    ||u* w|| = ||diag(b) Q* w|| for b the row norms of Q* u.  b is read off
+    Q* u, not as the root of the eigenvalues, whose rounding eps would give
+    an error sqrt(eps) on an orthogonal pair.
+    """
     _check_tol(tol)
     nx, ny, u, w, *_ = _reduce(x, y)
-    val = _norm(u.conj().T @ w)
+    m, n = u.shape
+    if n > 2 * m and n > _SUBSET_ABOVE:
+        qh = _top_eigh(_gram(u.conj().T), m)[1].conj().T
+        val = _norm(np.linalg.norm(qh @ u, axis=1)[:, None] * (qh @ w))
+    else:
+        val = _norm(u.conj().T @ w)
     return _report(Relation.IP, -val, tol, {"inner_product_norm": val * nx * ny})
 
 

@@ -296,8 +296,8 @@ def test_norm_switches_driver_above_a_smaller_side_of_8(monkeypatch):
 # Operations on a wide element (or pair) that form no n-by-n matrix; called
 # as op(x, y).
 WIDE_OPS = {
-    **{op.__name__: op for op in (is_bj, is_bj_real, is_bj_strong, is_rho_orthogonal,
-                                  is_norm_parallel)},
+    **{op.__name__: op for op in (is_ip_orthogonal, is_bj, is_bj_real, is_bj_strong,
+                                  is_rho_orthogonal, is_norm_parallel)},
     "m_lower_bound": lambda x, y: m_lower_bound(y),
     "module_daugavet_check": lambda x, y: module_daugavet_check(x, 1.0, 0.5),
     "operator_daugavet_witness": lambda x, y: operator_daugavet_witness(x),
@@ -306,8 +306,8 @@ WIDE_OPS = {
 
 @pytest.mark.parametrize("op", WIDE_OPS.values(), ids=list(WIDE_OPS))
 def test_wide_pair_needs_no_n_by_n_matrix(op):
-    # a 2x2000 pair: the face from a thin SVD and the relations from the
-    # 2000-by-k G* V, the Daugavet cubes through the 2x2 u u*, and
+    # a 2x2000 pair: the face from a thin SVD, the relations from the
+    # 2000-by-k G* V, ip and the Daugavet cubes through the 2x2 u u*, and
     # lambda_min(<y, y>) read off the shape, so no 2000x2000 Gram or G
     # (64 MB each) is formed
     rng = np.random.default_rng(53)

@@ -27,6 +27,21 @@ def test_ip_reference_cases():
     assert is_ip_orthogonal(x, y).holds
 
 
+@pytest.mark.parametrize("m, n", [(2, 40), (3, 100), (16, 512)])
+def test_ip_on_a_wide_pair_matches_the_dense_norm(m, n):
+    # the wide branch reads ||u* w|| from the m-by-m u u*: the same margin as
+    # the n-by-n product, and an orthogonal pair stays orthogonal at the
+    # default tol (a root of the eigenvalues of u u* would miss it by 1e-8)
+    rng = np.random.default_rng(m * n)
+    for x, y in ((random_element(rng, m, n), random_element(rng, m, n)),
+                 inner_orthogonal_pair(rng, m, n)):
+        u, w = x / module_norm(x), y / module_norm(y)
+        dense = np.linalg.svd(u.conj().T @ w, compute_uv=False)[0]
+        rep = is_ip_orthogonal(x, y)
+        assert rep.margin == pytest.approx(-dense, abs=1e-14)
+    assert rep.holds and rep.margin > -1e-14
+
+
 def test_bj_reference_cases():
     assert is_bj(T, R).holds  # W(R) = [-1, 0] contains 0
     x, y = inner_orthogonal_pair(np.random.default_rng(1), 4, 2)

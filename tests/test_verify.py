@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from rhoperp import (ShapeMismatch, bj_grid_oracle, bj_real_grid_oracle,
                      inner_product, is_bj, is_bj_real, is_norm_parallel,
                      module_norm, operator_norm, parallel_grid_oracle,
-                     property_names, property_suite, strong_bj_sample_oracle)
+                     property_names, property_suite, strong_bj_sample_oracle,
+                     top_face)
 from rhoperp import matcore, verify
 from rhoperp.verify import (bj_orthogonal_pair, incomparability_triple,
                             inner_orthogonal_pair, random_degenerate_element,
@@ -42,12 +44,14 @@ def test_bj_grid_oracle_complex_scalar_violation():
 def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
     # the oracles take lists, raise ShapeMismatch and reject NaN like every
     # public operation, and norm by numpy's SVD alone: no LAPACK call of the
-    # spectral code they check
-    def no_matcore_lapack(*args, **kwargs):
-        raise AssertionError("an oracle called a matcore LAPACK kernel")
+    # spectral code they check, and no scipy.optimize search
+    def trap(*args, **kwargs):
+        raise AssertionError("an oracle called a matcore LAPACK kernel or scipy.optimize")
 
     for name in ("zheevr", "zheevd", "zgesdd"):
-        monkeypatch.setattr(matcore, name, no_matcore_lapack)
+        monkeypatch.setattr(matcore, name, trap)
+    for name in ("minimize", "minimize_scalar"):
+        monkeypatch.setattr(scipy.optimize, name, trap)
     x, y = [[1.0], [0.0]], [[1.0j], [0.0]]
     result = oracle(x, y)
     assert (result[0] == pytest.approx(expected, abs=1e-9) if isinstance(result, tuple)
@@ -56,6 +60,66 @@ def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
         oracle(np.eye(2), np.eye(3))
     with pytest.raises(ValueError):
         oracle([[np.nan], [0.0]], y)
+
+
+def _assert_search(x, y, real, holds):
+    """_bj_search certifies its verdict, and a FALSE carries a violator c
+    that a fresh numpy SVD confirms: ||x + c y|| < ||x|| - 1e-6."""
+    c, certified = verify._bj_search(x, y, real)
+    assert certified and (c is None) == holds
+    if c is not None:
+        assert not real or isinstance(c, float)
+        fresh = np.linalg.svd(x + c * y, compute_uv=False)[0]
+        assert fresh < np.linalg.svd(x, compute_uv=False)[0] - verify._ORACLE_TOL
+
+
+def test_bj_oracles_on_column_vectors():
+    # n = 1: min over complex c of ||x + c y|| is the distance from x to
+    # span(y), sqrt(||x||^2 - |y* x|^2/||y||^2); over real c,
+    # sqrt(||x||^2 - (Re y* x)^2/||y||^2)
+    rng = np.random.default_rng(60)
+    for i in range(60):
+        m = int(rng.integers(2, 7))
+        x, y = random_element(rng, m, 1), random_element(rng, m, 1)
+        if i % 3:
+            # y* x = 0 (i % 3 == 1) or purely imaginary (i % 3 == 2)
+            y = y - x * (x.conj().T @ y) / (x.conj().T @ x)
+            y = y + (1j * x if i % 3 == 2 else 0.0)
+        nx, ny = np.linalg.norm(x), np.linalg.norm(y)
+        ip = complex((y.conj().T @ x)[0, 0])
+        for real, part in ((False, abs(ip)), (True, abs(ip.real))):
+            dist = np.sqrt(max(nx * nx - (part / ny) ** 2, 0.0))
+            _assert_search(x, y, real, dist >= nx - verify._ORACLE_TOL)
+
+
+def _two_dim_face_pair(rng, m, n, bj):
+    """x with a 2-dim top face spanned by v1, v2; for ``bj`` y is moved so
+    that the compression [u_i* y v_j] has trace 0, which puts 0 in its
+    numerical range although the subgradient at c = 0 is not unique."""
+    x = random_degenerate_element(rng, m, n, 2)
+    y = random_element(rng, m, n)
+    if bj:
+        u, _, vh = np.linalg.svd(x, full_matrices=False)
+        top = [np.outer(u[:, i], vh[i]) for i in range(2)]
+        y = y - sum(u[:, i].conj() @ y @ vh[i].conj() for i in range(2)) / 2.0 * sum(top)
+    return x, y
+
+
+def test_bj_oracles_certify_two_dim_faces_and_scale_ratios():
+    # the verdicts of is_bj and is_bj_real, each certified by the search,
+    # with ||x||/||y|| spread over 10^[-3, 3] and at 10^160 (the tolerance
+    # 1e-6 is absolute, so a far smaller ||x|| reads TRUE)
+    rng = np.random.default_rng(61)
+    for i in range(40):
+        m, n = (int(v) for v in rng.integers(2, 7, size=2))
+        x, y = _two_dim_face_pair(rng, m, n, bj=i % 2 == 0)
+        assert top_face(x).dim == 2
+        ratio = 10.0 ** rng.uniform(-3.0, 3.0)
+        for xs, ys in ((x, y), (ratio * x, y), (x, ratio * y), (x, 1e-160 * y)):
+            _assert_search(xs, ys, False, is_bj(xs, ys).holds)
+            _assert_search(xs, ys, True, is_bj_real(xs, ys).holds)
+        if i % 2 == 0:
+            assert is_bj(x, y).holds
 
 
 def test_bj_grid_oracle_orthogonal_instances():
@@ -142,6 +206,97 @@ def test_parallel_grid_oracle_agreement_sweep():
             assert operator_norm(x + rep.witness * y) == pytest.approx(target, rel=1e-12)
         verdicts.add(oracle)
     assert verdicts == {True, False}
+
+
+def test_parallel_search_on_diagonal_pairs():
+    # x = U D(a) W, y = U D(b) W: max_t ||x + e^{it} y|| = max_i |a_i| + |b_i|,
+    # which is ||x|| + ||y|| (parallel) iff one i is the top of |a| and of |b|;
+    # the bound certifies either verdict, the angle reproduces the norm.  A
+    # non-parallel pair falls short by min(||y||, ||x||)/2 or more, beyond the
+    # resolution ||y|| pi / 720 for ||y||/||x|| below 100
+    rng = np.random.default_rng(62)
+    for i in range(40):
+        k = int(rng.integers(2, 6))
+        mags_a = np.r_[1.0, rng.uniform(0.1, 0.5, k - 1)]
+        mags_b = np.r_[1.0, rng.uniform(0.1, 0.5, k - 1)] * 10.0 ** rng.uniform(-2.0, 2.0)
+        if i % 2:
+            mags_b[:2] = mags_b[1::-1]  # the top of |b| at the second of |a|
+        a = mags_a * np.exp(2j * np.pi * rng.uniform(size=k))
+        b = mags_b * np.exp(2j * np.pi * rng.uniform(size=k))
+        u, w = (np.linalg.qr(random_element(rng, k, k))[0] for _ in range(2))
+        x, y = u @ np.diag(a) @ w, u @ np.diag(b) @ w
+        closed = float(np.max(mags_a + mags_b))
+        target = mags_a.max() + mags_b.max()
+        value, angle, upper = verify._parallel_search(x, y)
+        fresh = np.linalg.svd(x + np.exp(1j * angle) * y, compute_uv=False)[0]
+        assert fresh == pytest.approx(value, rel=1e-14)
+        assert value <= closed * (1.0 + 1e-14) and upper >= closed * (1.0 - 1e-14)
+        parallel = value >= target - 1e-9 * (1.0 + target)
+        assert parallel == (i % 2 == 0) == (upper >= target)
+
+
+def _normal(rng, eigs):
+    q = np.linalg.qr(random_element(rng, len(eigs), len(eigs)))[0]
+    return q @ np.diag(eigs) @ q.conj().T
+
+
+def test_support_scan_on_closed_form_ranges():
+    # min_t lambda_max(Re(e^{it} M)) in closed form: for a normal M with
+    # eigenvalues {0, 1, i} or {-1, 1, i} moved by d, 0 lies at signed
+    # distance -|d| or d from a corner or an edge; W(c I + J_k) is the disc
+    # of radius cos(pi/(k + 1)) around c; the scan reads a grid value within
+    # ||M|| pi / 4096 above the minimum
+    rng = np.random.default_rng(63)
+    cases = []
+    for d in (0.0, 0.05, 0.3):
+        rot = np.exp(2j * np.pi * rng.uniform())
+        corner = np.array([0.0, 1.0, 1j]) + d * np.exp(0.25j * np.pi)
+        cases.append((_normal(rng, rot * corner), -d))
+        for s in (1.0, -1.0):
+            edge = np.array([-1.0, 1.0, 1j]) + s * 1j * d
+            cases.append((_normal(rng, rot * edge), -s * d))
+    for k in (2, 3, 4):
+        for c in (0.0, 0.2 * np.exp(2j * np.pi * rng.uniform())):
+            cases.append((c * np.eye(k) + np.diag(np.ones(k - 1), 1),
+                          np.cos(np.pi / (k + 1)) - abs(c)))
+    for m, closed in cases:
+        nrm = np.linalg.svd(m, compute_uv=False)[0]
+        scan = verify._support_scan(m, nrm)
+        assert closed - 1e-12 <= scan <= closed + nrm * np.pi / 4096 + 1e-12
+
+
+def test_oracles_take_few_evaluations(monkeypatch):
+    # a fixed 100-pair stream: numpy SVD matrices per pair for each oracle,
+    # and eigvalsh matrices (scanned angles) per matrix for the support scan
+    count = [0]
+
+    def counting(f):
+        def wrapped(a, *args, **kwargs):
+            count[0] += int(np.prod(np.shape(a)[:-2]))
+            return f(a, *args, **kwargs)
+        return wrapped
+
+    rng = np.random.default_rng(64)
+    pairs = [verify._mixed_pair(rng, i) for i in range(100)]
+    mats = [random_element(rng, k, k) for k in rng.choice([2, 3, 5], size=100)]
+    norms = [operator_norm(m) for m in mats]
+    monkeypatch.setattr(np.linalg, "svd", counting(np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    caps = {bj_grid_oracle: (32, 8), bj_real_grid_oracle: (16, 8),
+            parallel_grid_oracle: (1100, 500)}
+    for oracle, (most, mean) in caps.items():
+        counts = []
+        for x, y in pairs:
+            count[0] = 0
+            oracle(x, y)
+            counts.append(count[0])
+        assert max(counts) <= most and np.mean(counts) <= mean, oracle.__name__
+    counts = []
+    for m, nrm in zip(mats, norms):
+        count[0] = 0
+        verify._support_scan(m, nrm)
+        counts.append(count[0])
+    assert max(counts) <= 1024 and np.mean(counts) <= 256
 
 
 def test_property_names_are_pinned_in_suite_order():
