@@ -17,20 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidScalars, ZeroOperator
-from .matcore import _SUBSET_ABOVE, _check_tol, _norm, as_complex_matrix
+from .matcore import _check_tol, _cube, _norm, as_complex_matrix
 from .normderiv import _rho_extremes
 from .stateface import StateWitness, _face_state, _unit_face
-
-
-def _cube(u: np.ndarray) -> np.ndarray:
-    """u <u, u> = u u* u for an m-by-n u.  A wide u with more than
-    ``_SUBSET_ABOVE`` columns takes the m-by-m u u* first, so no large n-by-n
-    product is formed; any other u takes u (u* u), which fixes the rounding
-    of every output on the small shapes."""
-    m, n = u.shape
-    if m < n and _SUBSET_ABOVE < n:
-        return (u @ u.conj().T) @ u
-    return u @ (u.conj().T @ u)
 
 
 @dataclass(frozen=True)

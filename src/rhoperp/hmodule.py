@@ -17,9 +17,8 @@ Every relation is homogeneous in x and in y, so every pair operation
 reads its result off the unit pair u = x/||x||, w = y/||y||: x, with the
 top face of <x, x>, from ``stateface._unit_face``; y, and both elements of
 the oracle ``normderiv.rho_fd``, from the value-only :func:`_unit`, whose
-norm is one value-only SVD up to a smaller side of 8 and the top eigenvalue
-of the Gram matrix of the smaller side above (``matcore._norm``).  The
-zero element (norm below the smallest normal double) scales to 0.
+norm is ``matcore._norm``.  The zero element (norm below the smallest
+normal double) scales to 0.
 """
 
 from __future__ import annotations

@@ -1,18 +1,19 @@
 """Dense complex-matrix kernel: adjoint, Hermitian spectra, operator norm.
 
-Every LAPACK call of the decision code goes through one choke point here:
+Every LAPACK call of the decision code, and every choice of route by shape
+(one predicate each, under the table below), is made here:
 
-* :func:`_norm`, the largest singular value: one ``zgesdd`` without vectors
-  while the smaller side is at most ``_SUBSET_ABOVE``, else the top
-  eigenvalue of the Gram matrix of that side, from :func:`_gram` and one
-  values-only :func:`_top_eigh`;
+* :func:`_norm`, the largest singular value, from :func:`_singular_values`
+  or from the Gram matrix of the smaller side (:func:`_gram_norm`);
 * :func:`_singular_values`, all of them, from one ``zgesdd`` without vectors;
 * :func:`_svd`, the singular values and right vectors, from one ``zgesdd``;
+* :func:`_face_spectrum`, the top of the spectrum of x* x (:func:`_gram_face`);
+* :func:`_adjoint_product_norm`, ||u* w|| (:func:`_row_ip`);
+* :func:`_cube`, u u* u (:func:`_row_cube`);
 * :func:`_gram`, the lower triangle of a Gram matrix a* a, from one ``zherk``;
 * :func:`_top_eigh`, the top j eigenpairs (or eigenvalues) of a Hermitian
-  matrix, from one ``zheevd`` up to order ``_SUBSET_ABOVE`` and one subset
-  ``zheevr`` above it (``zheevd`` again when ``zheevr`` fails or returns
-  fewer than j);
+  matrix, from one ``zheevd``, or one subset ``zheevr`` (:func:`_subset_eigh`;
+  ``zheevd`` again when ``zheevr`` fails or returns fewer than j);
 * :func:`_min_eigval`, the smallest eigenvalue: one ``zheevd`` without vectors;
 * :func:`_rotated_top`, the top eigenvalues (or eigenvectors) of the
   rotations (e^{it} M + e^{-it} M*)/2, from one batched ``eigvalsh`` (``eigh``);
@@ -42,22 +43,29 @@ HERMITIAN_DRIFT_TOL = 1e-10
 # The one zero rule: a norm below the smallest normal double counts as zero.
 _TINY = np.finfo(float).tiny
 
-# Order above which the top eigenpairs come from a subset zheevr instead of
-# the full spectrum of zheevd.  With one BLAS thread on a 2-core Xeon, a
-# top-2 zheevr took 1.4 times as long as zheevd at n = 4, 0.95 times at
-# n = 8, 0.55 times at n = 16 and 0.46 times at n = 40.  It also splits
-# stateface._unit_face: a zgesdd with vectors took 7.2/6.9/16.7/7.8 us at
-# 2x2/4x4/8x8/3x8, the Gram matrix and its top two eigenpairs 18.2/17.9/
-# 35.9/33.2 us; at 16x16 the SVD took 55 us and the Gram route 32 us.  A wide
-# m-by-n x (n > 2m) keeps the SVD: at n = 128 and m = 32/64/96/120 it took
-# 0.60/1.9/3.6/5.0 ms, the Gram route 1.6/1.6/1.8/1.6 ms; 0.67 ms against
-# 73 ms at 16x512 and 0.16 ms against 5.7 s at 2x2000.  It splits _norm by
-# the smaller side: a value-only zgesdd took 198/615/3027/403/534/564 us at
-# 40x40/64x64/128x128/512x16/256x32/16x512, one zherk Gram matrix and its top
-# eigenvalue 157/427/2381/126/186/108 us (minimum of 7 interleaved runs),
-# within 6e-16 relative; the Gram route was 0.83 and 0.94 times as fast at
-# 12x12 and 16x16 (5 and 3 us lost), and 0.43 times at 8x3.
+# Shape routes: each kernel takes the route that its predicate below reads off
+# the shape.  One BLAS thread on a 2-core Xeon, minimum of 7 runs, timed as
+# "route when true/when false":
+#   _subset_eigh  top-2 zheevr/zheevd: 1.4, 0.95, 0.55, 0.46 at n = 4, 8, 16, 40.
+#   _gram_face    Gram + top-2 zheevr/thin zgesdd, us: 18/7.2, 36/17, 33/7.8 at
+#                 2x2, 8x8, 3x8; 32/55 at 16x16.  Wide, ms: at n = 128 and
+#                 m = 32, 64, 96, 120 1.6/0.60, 1.6/1.9, 1.8/3.6, 1.6/5.0; 73/0.67
+#                 at 16x512, 5700/0.16 at 2x2000.
+#   _gram_norm    zherk Gram + top-1 zheevr/value-only zgesdd, us: 157/198,
+#                 2381/3027, 126/403, 108/564 at 40x40, 128x128, 512x16, 16x512.
+#                 Known loss: 1.45, 1.15, 1.01 times as long at 9x9, 12x12,
+#                 16x16 (0.84 at 24x24); no workload has a smaller side of 9-39.
+#   _row_ip       no n-by-n u* w for a wide u (64 MB at 2x2000).
+#   _row_cube     (u u*) u/u (u* u): 2.3/26 ms, 0.37/61 MB at 2x2000; up to 8
+#                 columns u (u* u) fixes the rounding of every small output.
 _SUBSET_ABOVE = 8
+
+
+def _subset_eigh(n: int) -> bool: return n > _SUBSET_ABOVE
+def _gram_norm(rows: int, cols: int) -> bool: return min(rows, cols) > _SUBSET_ABOVE
+def _gram_face(rows: int, cols: int) -> bool: return _SUBSET_ABOVE < cols <= 2 * rows
+def _row_ip(rows: int, cols: int) -> bool: return cols > 2 * rows and cols > _SUBSET_ABOVE
+def _row_cube(rows: int, cols: int) -> bool: return rows < cols and cols > _SUBSET_ABOVE
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -92,19 +100,13 @@ def operator_norm(a) -> float:
 
 
 def _norm(m: np.ndarray) -> float:
-    """Largest singular value of a trusted m.  While min(m.shape) is at most
-    ``_SUBSET_ABOVE`` it is the top value of one zgesdd without vectors, the
-    same call as :func:`_singular_values` made in place, as small elements
-    take it many times per operation; above, it is
-    s sqrt(lambda_max) for the Gram matrix of the smaller side of ms = m/s
-    (s from :func:`_prescaled`), lambda_max clamped at 0.  For a wide ms that
-    Gram matrix is the one of ms.T, the conjugate of ms ms*, same spectrum."""
+    """Largest singular value of a trusted m: the top of :func:`_singular_values`,
+    or on the route of :func:`_gram_norm` s sqrt(lambda_max), lambda_max >= 0 of
+    the Gram matrix of the smaller side of ms = m/s (s from :func:`_prescaled`;
+    for a wide ms that of ms.T, the conjugate of ms ms*, same spectrum)."""
     rows, cols = m.shape
-    if rows <= _SUBSET_ABOVE or cols <= _SUBSET_ABOVE:
-        _, sv, _, info = zgesdd(m, compute_uv=0)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
-        return float(sv[0])
+    if not _gram_norm(rows, cols):
+        return float(_singular_values(m)[0])
     ms, s = _prescaled(m)
     lam = _top_eigh(_gram(ms if rows >= cols else ms.T), 1, vectors=False)[0][0]
     return s * math.sqrt(max(float(lam), 0.0))
@@ -129,6 +131,40 @@ def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, vt
 
 
+def _face_spectrum(xs: np.ndarray) -> tuple:
+    """(r, vals, vecs, full) for a trusted m-by-n xs: r = ||xs||, the top
+    eigenvalues of xs* xs (at least two, or all n), descending, their unit
+    eigenvectors as columns, and full() the same holding every nonzero one.
+    On the route of :func:`_gram_face`, the top two of the Gram matrix
+    (:func:`_gram`, :func:`_top_eigh`) and full() one more solve; else one
+    thin :func:`_svd`: the squared singular values, right singular vectors."""
+    if _gram_face(*xs.shape):
+        gram = _gram(xs)
+        vals, vecs = _top_eigh(gram, 2)
+        return math.sqrt(vals[0]), vals, vecs, lambda: _top_eigh(gram, xs.shape[1])
+    sv, vt = _svd(xs)
+    vals, vecs = sv * sv, vt.conj().T
+    return float(sv[0]), vals, vecs, lambda: (vals, vecs)
+
+
+def _adjoint_product_norm(u: np.ndarray, w: np.ndarray) -> float:
+    """||u* w|| for trusted m-by-n u, w; on the route of :func:`_row_ip`, with Q
+    the eigenvectors of the m-by-m u u*, ||diag(b) Q* w|| for b the row norms
+    of Q* u (the rows are orthogonal), not the roots of the eigenvalues,
+    whose rounding eps would give an error sqrt(eps) on an orthogonal pair."""
+    if _row_ip(*u.shape):
+        qh = _top_eigh(_gram(u.conj().T), u.shape[0])[1].conj().T
+        return _norm(np.linalg.norm(qh @ u, axis=1)[:, None] * (qh @ w))
+    return _norm(u.conj().T @ w)
+
+
+def _cube(u: np.ndarray) -> np.ndarray:
+    """u u* u for a trusted u: (u u*) u on the route of :func:`_row_cube`."""
+    if _row_cube(*u.shape):
+        return (u @ u.conj().T) @ u
+    return u @ (u.conj().T @ u)
+
+
 def _gram(a: np.ndarray) -> np.ndarray:
     """a* a for a trusted a, from one zherk: only its lower triangle is set,
     which is all that :func:`_top_eigh` reads."""
@@ -143,14 +179,14 @@ def _top_eigh(h: np.ndarray, j: int, vectors: bool = True) -> tuple[np.ndarray, 
     reverse of LAPACK's order; any basis of their eigenspace is valid.
     With ``vectors`` false no eigenvector is computed: only values count.
 
-    One LAPACK call: the full spectrum from zheevd at order up to
-    ``_SUBSET_ABOVE`` or for j >= n, else exactly j pairs from zheevr
-    (range "I").  zheevr can drop the index range without an error (info 0
-    and no eigenvalue, on a split tridiagonal form), so its count m is
-    checked: on m != j or info != 0 the full spectrum is taken instead.
+    One LAPACK call: exactly j pairs from zheevr (range "I") for j < n on the
+    route of :func:`_subset_eigh`, else the full spectrum from zheevd.  zheevr
+    can drop the index range without an error (info 0 and no eigenvalue, on a
+    split tridiagonal form), so its count m is checked: on m != j or info != 0
+    the full spectrum is taken instead.
     """
     n = h.shape[0]
-    if _SUBSET_ABOVE < n and j < n:
+    if j < n and _subset_eigh(n):
         vals, vecs, m, _, info = zheevr(h, compute_v=vectors, range="I", il=n - j + 1, iu=n,
                                         lower=1)
         if info == 0 and m == j:

@@ -42,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .matcore import (_SUBSET_ABOVE, _check_tol, _gram, _norm, _prescaled, _singular_values,
-                      _svd, _top_eigh, as_complex_matrix)
+from .matcore import (_adjoint_product_norm, _check_tol, _norm, _prescaled, _singular_values,
+                      _svd, as_complex_matrix)
 from .normderiv import _rho_extremes
 from .stateface import _carden_step, _face_state, _numerical_radius, _reduce, _zero_in_numrange
 
@@ -85,23 +85,11 @@ def _report(relation: Relation, margin: float, tol: float, data: dict,
 
 
 def is_ip_orthogonal(x, y, tol: float = DEFAULT_TOL) -> OrthoReport:
-    """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>||.
-
-    A wide m-by-n u (n > 2m and n > ``_SUBSET_ABOVE``) does not form the
-    n-by-n u* w: with Q the eigenvectors of the m-by-m u u* (:func:`_gram`,
-    :func:`_top_eigh`), the rows of Q* u are orthogonal, so
-    ||u* w|| = ||diag(b) Q* w|| for b the row norms of Q* u.  b is read off
-    Q* u, not as the root of the eigenvalues, whose rounding eps would give
-    an error sqrt(eps) on an orthogonal pair.
-    """
+    """Inner-product orthogonality <x, y> = 0, with margin -||<u, w>|| from
+    ``matcore._adjoint_product_norm``, which forms no n-by-n <u, w> for a wide u."""
     _check_tol(tol)
     nx, ny, u, w, *_ = _reduce(x, y)
-    m, n = u.shape
-    if n > 2 * m and n > _SUBSET_ABOVE:
-        qh = _top_eigh(_gram(u.conj().T), m)[1].conj().T
-        val = _norm(np.linalg.norm(qh @ u, axis=1)[:, None] * (qh @ w))
-    else:
-        val = _norm(u.conj().T @ w)
+    val = _adjoint_product_norm(u, w)
     return _report(Relation.IP, -val, tol, {"inner_product_norm": val * nx * ny})
 
 

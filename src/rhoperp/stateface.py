@@ -34,16 +34,14 @@ without forming G.  A zero x gives u = 0, whose face is every state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_SUBSET_ABOVE, _TINY, _check_tol, _finite, _gram, _hermitian_part,
-                      _min_eigval, _norm, _pencil, _prescaled, _rotated_top, _svd, _top_eigh,
-                      as_complex_matrix)
+from .matcore import (_TINY, _check_tol, _face_spectrum, _finite, _hermitian_part, _min_eigval,
+                      _norm, _pencil, _prescaled, _rotated_top, as_complex_matrix)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -145,25 +143,15 @@ def top_face(x) -> TopFace:
 def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     """(||x||, u = x/||x||, top face of <u, u>) for a trusted x, from one
     decomposition of xs = x/s, s the exact power of two of :func:`_prescaled`
-    (so 2^j x gives the same u): with r = ||xs||, ||x|| = s r and u = xs/r.
-    An m-by-n x with ``_SUBSET_ABOVE`` < n <= 2m takes the top two eigenpairs
-    of <xs, xs> (:func:`_gram`, :func:`_top_eigh`), r^2 the largest, in full
-    only when both join the face; any other x (few columns, or wide) one thin zgesdd with vectors
-    (:func:`_svd`): r the top singular value, the eigenvalues of <xs, xs> the
-    squared singular values (0 past the row count), the face vectors right
-    singular vectors.  The face, its gap and its near-degeneracy flag are read
-    relative to r^2; a norm below the smallest normal double gives (0.0, 0, the whole space).
+    (so 2^j x gives the same u): with r = ||xs|| and the top of the spectrum
+    of <xs, xs> from :func:`_face_spectrum`, ||x|| = s r and u = xs/r.  The
+    full spectrum is asked for only when every eigenvalue given joins the face.
+    The face, its gap and its near-degeneracy flag are read relative to r^2;
+    a norm below the smallest normal double gives (0.0, 0, the whole space).
     """
     xs, s = _prescaled(x)
     n = xs.shape[1]
-    gram_route = _SUBSET_ABOVE < n <= 2 * xs.shape[0]
-    if gram_route:
-        gram = _gram(xs)
-        vals, vecs = _top_eigh(gram, 2)
-        root = math.sqrt(vals[0])
-    else:
-        sv, vt = _svd(xs)
-        root, vals, vecs = float(sv[0]), sv * sv, vt.conj().T
+    root, vals, vecs, full = _face_spectrum(xs)
     nx = s * root
     if nx == np.inf:
         raise ValueError("module norm beyond the double range")
@@ -173,8 +161,8 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     lam = float(vals[0])
     cut = (1.0 - _FACE_GAP_TOL) * lam
     k = np.count_nonzero(vals >= cut)
-    if k == len(vals) < n and gram_route:
-        vals, vecs = _top_eigh(gram, n)
+    if k == len(vals) < n:
+        vals, vecs = full()
         k = np.count_nonzero(vals >= cut)
     # the largest eigenvalue below the face; none (gap inf) if k = n
     below = float(vals[k]) if k < len(vals) else 0.0 if k < n else -np.inf

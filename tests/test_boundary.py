@@ -304,14 +304,20 @@ WIDE_OPS = {
 }
 
 
-@pytest.mark.parametrize("op", WIDE_OPS.values(), ids=list(WIDE_OPS))
-def test_wide_pair_needs_no_n_by_n_matrix(op):
-    # a 2x2000 pair: the face from a thin SVD, the relations from the
-    # 2000-by-k G* V, ip and the Daugavet cubes through the 2x2 u u*, and
-    # lambda_min(<y, y>) read off the shape, so no 2000x2000 Gram or G
-    # (64 MB each) is formed
+# Each op on 2x2000 (id: its name), 2000x2 and 16x512, the one shape of the
+# three whose ip takes the m-by-m u u* with a smaller side above 8.
+WIDE_CASES = [pytest.param(op, shape, id=name + ("" if shape == (2, 2000) else "-%dx%d" % shape))
+              for shape in ((2, 2000), (2000, 2), (16, 512)) for name, op in WIDE_OPS.items()]
+
+
+@pytest.mark.parametrize("op, shape", WIDE_CASES)
+def test_wide_pair_needs_no_n_by_n_matrix(op, shape):
+    # a wide pair: the face from a thin SVD, the relations from the
+    # n-by-k G* V, ip and the Daugavet cubes through the m-by-m u u*, and
+    # lambda_min(<y, y>) read off the shape, so no n-by-n Gram or G (64 MB
+    # each at 2x2000) is formed; a tall pair forms nothing larger than x
     rng = np.random.default_rng(53)
-    x, y = random_element(rng, 2, 2000), random_element(rng, 2, 2000)
+    x, y = random_element(rng, *shape), random_element(rng, *shape)
     tracemalloc.start()
     try:
         op(x, y)
@@ -415,14 +421,26 @@ def _lapack_references(source):
     return found
 
 
+# The shape policy of matcore: its crossover and the predicate of each route.
+SHAPE_POLICY = ("_SUBSET_ABOVE", "_subset_eigh", "_gram_norm", "_gram_face", "_row_ip",
+                "_row_cube")
+
+
 def test_decision_code_calls_lapack_only_through_matcore():
     # the decision modules reach LAPACK only through matcore, so one
     # patch of matcore counts every call; verify is exempt, as its oracles
-    # use numpy.linalg to stay independent of the code they check
+    # use numpy.linalg to stay independent of the code they check.  Nor do
+    # they read matcore's shape policy: every route is chosen there, so one
+    # patch of a predicate forces its route everywhere
+    assert all(hasattr(matcore, name) for name in SHAPE_POLICY)
     for name in ("hmodule", "stateface", "normderiv", "ortho", "daugavet"):
         path = importlib.import_module(f"rhoperp.{name}").__file__
         with open(path, encoding="utf-8") as fh:
-            assert _lapack_references(fh.read()) == [], name
+            tree = ast.parse(source := fh.read())
+        assert _lapack_references(source) == [], name
+        names = {getattr(node, key) for node in ast.walk(tree)
+                 for key in ("id", "attr", "name") if isinstance(getattr(node, key, None), str)}
+        assert names.isdisjoint(SHAPE_POLICY), name
 
 
 @pytest.mark.parametrize("source, found", [

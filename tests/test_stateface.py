@@ -96,12 +96,12 @@ def test_top_face_above_the_subset_crossover_matches_the_full_spectrum(
     # face that the full spectrum of <x, x> gives
     asked = []
 
-    def top_eigh(h, j):
+    def top_eigh(h, j, **kwargs):
         asked.append(j)
-        return real_top_eigh(h, j)
+        return real_top_eigh(h, j, **kwargs)
 
-    real_top_eigh = stateface._top_eigh
-    monkeypatch.setattr(stateface, "_top_eigh", top_eigh)
+    real_top_eigh = matcore._top_eigh
+    monkeypatch.setattr(matcore, "_top_eigh", top_eigh)
     for seed in range(5):
         x = make(np.random.default_rng(seed))
         assert x.shape[1] > _SUBSET_ABOVE
