@@ -8,7 +8,7 @@ from scipy.linalg import eigvals
 from scipy.linalg.lapack import zggev
 from scipy.optimize import minimize_scalar
 
-from rhoperp import matcore, stateface
+from rhoperp import matcore
 from rhoperp import (NonHermitianInput, NotUnitVector, ShapeMismatch, StateWitness,
                      ZeroElement, cauchy_schwarz_gap, face_compression, inner_product, is_bj,
                      is_norm_parallel, maximally_mixed, module_norm,
