@@ -39,7 +39,7 @@ from .daugavet import (module_daugavet_check, operator_daugavet_witness,
                        rho_cube_identity)
 from .errors import RhoperpError, ShapeMismatch, ZeroOperator
 from .hmodule import module_norm
-from .matcore import as_complex_matrix
+from .matcore import _check_tol, as_complex_matrix
 from .normderiv import rho_fd, rho_pair
 from .ortho import (DEFAULT_TOL, Relation, is_bj, is_bj_real, is_bj_strong,
                     is_ip_orthogonal, is_norm_parallel, is_rho_orthogonal)
@@ -69,7 +69,7 @@ def matrix_from_payload(doc) -> np.ndarray:
         rows, cols, entries = doc["rows"], doc["cols"], doc["entries"]
     except (KeyError, TypeError) as exc:
         raise MatrixParseError(f"missing matrix field: {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):
         raise MatrixParseError("rows and cols must be positive integers")
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise MatrixParseError(f"expected {rows * cols} entries")
@@ -131,6 +131,7 @@ def _emit(report: dict, json_out) -> None:
 
 
 def _cmd_rho(args) -> int:
+    _check_tol(args.tol)
     x, y = load_matrix(args.x), load_matrix(args.y)
     report = _payload(rho_pair(x, y))
     ok = True

@@ -3,18 +3,17 @@
 Every LAPACK call of the decision code, and every choice of route by shape
 (one predicate each, under the table below), is made here:
 
-* :func:`_norm`, the largest singular value, from :func:`_singular_values`
-  or from the Gram matrix of the smaller side (:func:`_gram_norm`);
-* :func:`_singular_values`, all of them, from one ``zgesdd`` without vectors;
-* :func:`_svd`, the singular values and right vectors, from one ``zgesdd``;
-* :func:`_face_spectrum`, the top of the spectrum of x* x (:func:`_gram_face`);
+* :func:`_norm`, the largest singular value, from :func:`_svd` without
+  vectors or from the Gram matrix of the smaller side (:func:`_gram_norm`);
+* :func:`_svd`, the singular values (and right vectors), from one ``zgesdd``;
+* :func:`_face_spectrum`, the top of the spectrum of x* x down to the first
+  eigenvalue below a face cut (:func:`_gram_face`);
 * :func:`_adjoint_product_norm`, ||u* w|| (:func:`_row_ip`);
 * :func:`_cube`, u u* u (:func:`_row_cube`);
 * :func:`_gram`, the lower triangle of a Gram matrix a* a, from one ``zherk``;
 * :func:`_top_eigh`, the top j eigenpairs (or eigenvalues) of a Hermitian
-  matrix, from one ``zheevd``, or one subset ``zheevr`` (:func:`_subset_eigh`;
-  ``zheevd`` again when ``zheevr`` fails or returns fewer than j);
-* :func:`_min_eigval`, the smallest eigenvalue: one ``zheevd`` without vectors;
+  matrix, from one subset ``zheevr`` for j < n, else one ``zheevd`` (also
+  when ``zheevr`` fails or returns fewer than j);
 * :func:`_rotated_top`, the top eigenvalues (or eigenvectors) of the
   rotations (e^{it} M + e^{-it} M*)/2, from one batched ``eigvalsh`` (``eigh``);
 * :func:`_pencil`, the eigenvalues of a pencil, from one ``zggev`` (QZ);
@@ -46,7 +45,6 @@ _TINY = np.finfo(float).tiny
 # Shape routes: each kernel takes the route that its predicate below reads off
 # the shape.  One BLAS thread on a 2-core Xeon, minimum of 7 runs, timed as
 # "route when true/when false":
-#   _subset_eigh  top-2 zheevr/zheevd: 1.4, 0.95, 0.55, 0.46 at n = 4, 8, 16, 40.
 #   _gram_face    Gram + top-2 zheevr/thin zgesdd, us: 18/7.2, 36/17, 33/7.8 at
 #                 2x2, 8x8, 3x8; 32/55 at 16x16.  Wide, ms: at n = 128 and
 #                 m = 32, 64, 96, 120 1.6/0.60, 1.6/1.9, 1.8/3.6, 1.6/5.0; 73/0.67
@@ -58,14 +56,15 @@ _TINY = np.finfo(float).tiny
 #   _row_ip       no n-by-n u* w for a wide u (64 MB at 2x2000).
 #   _row_cube     (u u*) u/u (u* u): 2.3/26 ms, 0.37/61 MB at 2x2000; up to 8
 #                 columns u (u* u) fixes the rounding of every small output.
-_SUBSET_ABOVE = 8
+# _top_eigh takes zheevr for every subset, though top-2 zheevr/zheevd reads 1.4,
+# 0.95, 0.55, 0.46 at n = 4, 8, 16, 40: no caller asks a subset at n <= 8.
+_GRAM_ABOVE = 8
 
 
-def _subset_eigh(n: int) -> bool: return n > _SUBSET_ABOVE
-def _gram_norm(rows: int, cols: int) -> bool: return min(rows, cols) > _SUBSET_ABOVE
-def _gram_face(rows: int, cols: int) -> bool: return _SUBSET_ABOVE < cols <= 2 * rows
-def _row_ip(rows: int, cols: int) -> bool: return cols > 2 * rows and cols > _SUBSET_ABOVE
-def _row_cube(rows: int, cols: int) -> bool: return rows < cols and cols > _SUBSET_ABOVE
+def _gram_norm(rows: int, cols: int) -> bool: return min(rows, cols) > _GRAM_ABOVE
+def _gram_face(rows: int, cols: int) -> bool: return _GRAM_ABOVE < cols <= 2 * rows
+def _row_ip(rows: int, cols: int) -> bool: return cols > 2 * rows and cols > _GRAM_ABOVE
+def _row_cube(rows: int, cols: int) -> bool: return rows < cols and cols > _GRAM_ABOVE
 
 
 def _finite(m: np.ndarray) -> np.ndarray:
@@ -100,51 +99,43 @@ def operator_norm(a) -> float:
 
 
 def _norm(m: np.ndarray) -> float:
-    """Largest singular value of a trusted m: the top of :func:`_singular_values`,
+    """Largest singular value of a trusted m: the top of :func:`_svd` (no vectors),
     or on the route of :func:`_gram_norm` s sqrt(lambda_max), lambda_max >= 0 of
     the Gram matrix of the smaller side of ms = m/s (s from :func:`_prescaled`;
     for a wide ms that of ms.T, the conjugate of ms ms*, same spectrum)."""
     rows, cols = m.shape
     if not _gram_norm(rows, cols):
-        return float(_singular_values(m)[0])
+        return float(_svd(m, vectors=False)[0][0])
     ms, s = _prescaled(m)
     lam = _top_eigh(_gram(ms if rows >= cols else ms.T), 1, vectors=False)[0][0]
     return s * math.sqrt(max(float(lam), 0.0))
 
 
-def _singular_values(m: np.ndarray) -> np.ndarray:
-    """The min(m.shape) singular values of a trusted m, descending, from one
-    zgesdd without vectors."""
-    _, sv, _, info = zgesdd(m, compute_uv=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
-    return sv
-
-
-def _svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _svd(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(sv, vt) for a trusted m: its min(m.shape) singular values, descending,
     and row i of vt the conjugate of a unit right singular vector for sv[i],
-    from one thin zgesdd with vectors."""
-    _, sv, vt, info = zgesdd(m, compute_uv=1, full_matrices=0)
+    from one thin zgesdd; with ``vectors`` false none is computed (vt a placeholder)."""
+    _, sv, vt, info = zgesdd(m, compute_uv=vectors, full_matrices=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"zgesdd failed (info={info})")
     return sv, vt
 
 
-def _face_spectrum(xs: np.ndarray) -> tuple:
-    """(r, vals, vecs, full) for a trusted m-by-n xs: r = ||xs||, the top
-    eigenvalues of xs* xs (at least two, or all n), descending, their unit
-    eigenvectors as columns, and full() the same holding every nonzero one.
-    On the route of :func:`_gram_face`, the top two of the Gram matrix
-    (:func:`_gram`, :func:`_top_eigh`) and full() one more solve; else one
-    thin :func:`_svd`: the squared singular values, right singular vectors."""
+def _face_spectrum(xs: np.ndarray, rel: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(r, vals, vecs) for a trusted m-by-n xs: r = ||xs|| and the top eigenvalues
+    of xs* xs, descending, with unit eigenvectors as columns, at least down to
+    the first below the cut (1 - rel) vals[0], or every nonzero one.  On the
+    route of :func:`_gram_face`, the top two of the Gram matrix (:func:`_gram`,
+    :func:`_top_eigh`), grown to all n when both reach a positive cut; else one thin
+    :func:`_svd`: the squared singular values and right singular vectors."""
     if _gram_face(*xs.shape):
         gram = _gram(xs)
         vals, vecs = _top_eigh(gram, 2)
-        return math.sqrt(vals[0]), vals, vecs, lambda: _top_eigh(gram, xs.shape[1])
+        if vals[-1] >= (1.0 - rel) * vals[0] > 0.0:
+            vals, vecs = _top_eigh(gram, len(gram))
+        return math.sqrt(vals[0]), vals, vecs
     sv, vt = _svd(xs)
-    vals, vecs = sv * sv, vt.conj().T
-    return float(sv[0]), vals, vecs, lambda: (vals, vecs)
+    return float(sv[0]), sv * sv, vt.conj().T
 
 
 def _adjoint_product_norm(u: np.ndarray, w: np.ndarray) -> float:
@@ -179,14 +170,14 @@ def _top_eigh(h: np.ndarray, j: int, vectors: bool = True) -> tuple[np.ndarray, 
     reverse of LAPACK's order; any basis of their eigenspace is valid.
     With ``vectors`` false no eigenvector is computed: only values count.
 
-    One LAPACK call: exactly j pairs from zheevr (range "I") for j < n on the
-    route of :func:`_subset_eigh`, else the full spectrum from zheevd.  zheevr
-    can drop the index range without an error (info 0 and no eigenvalue, on a
-    split tridiagonal form), so its count m is checked: on m != j or info != 0
-    the full spectrum is taken instead.
+    One LAPACK call: exactly j pairs from zheevr (range "I") for j < n, else
+    the full spectrum from zheevd.  zheevr can drop the index range without
+    an error (info 0 and no eigenvalue, on a split tridiagonal form), so its
+    count m is checked: on m != j or info != 0 the full spectrum is taken
+    instead.
     """
     n = h.shape[0]
-    if j < n and _subset_eigh(n):
+    if j < n:
         vals, vecs, m, _, info = zheevr(h, compute_v=vectors, range="I", il=n - j + 1, iu=n,
                                         lower=1)
         if info == 0 and m == j:
@@ -195,14 +186,6 @@ def _top_eigh(h: np.ndarray, j: int, vectors: bool = True) -> tuple[np.ndarray, 
     if info != 0:
         raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
     return vals[::-1], vecs[:, ::-1]
-
-
-def _min_eigval(h: np.ndarray) -> float:
-    """lambda_min of a trusted Hermitian h (its lower triangle is read)."""
-    vals, _, info = zheevd(h, compute_v=0, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zheevd failed (info={info})")
-    return float(vals[0])
 
 
 def _rotated_top(m: np.ndarray, thetas: np.ndarray, vectors: bool = False) -> np.ndarray:

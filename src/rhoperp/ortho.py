@@ -42,8 +42,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import PreconditionFailed
-from .matcore import (_adjoint_product_norm, _check_tol, _norm, _prescaled, _singular_values,
-                      _svd, as_complex_matrix)
+from .matcore import (_adjoint_product_norm, _check_tol, _norm, _prescaled, _svd,
+                      as_complex_matrix)
 from .normderiv import _rho_extremes
 from .stateface import _carden_step, _face_state, _numerical_radius, _reduce, _zero_in_numrange
 
@@ -205,7 +205,7 @@ def m_lower_bound(y) -> float:
     if y.shape[1] > y.shape[0]:
         return 0.0
     ys, s = _prescaled(y)
-    sigma = float(_singular_values(ys)[-1])
+    sigma = float(_svd(ys, vectors=False)[0][-1])
     low = sigma * sigma * s * s
     if low == np.inf:
         raise ValueError("lambda_min(<y, y>) beyond the double range")

@@ -40,8 +40,8 @@ import numpy as np
 
 from .errors import NotUnitVector, ShapeMismatch, ZeroElement
 from .hmodule import _as_pair, _unit, inner_product
-from .matcore import (_TINY, _check_tol, _face_spectrum, _finite, _hermitian_part, _min_eigval,
-                      _norm, _pencil, _prescaled, _rotated_top, as_complex_matrix)
+from .matcore import (_TINY, _check_tol, _face_spectrum, _finite, _hermitian_part, _norm,
+                      _pencil, _prescaled, _rotated_top, _top_eigh, as_complex_matrix)
 
 # |z| within this of 1 marks a level-set point.  Rounding splits the double
 # root of a tangent level off the circle by ~(eps ||M|| / |h''|)^(1/2); a loose
@@ -89,7 +89,7 @@ class StateWitness:
         if d.shape[0] != d.shape[1]:
             raise ShapeMismatch(f"density of shape {d.shape} is not square")
         h, s = _hermitian_part(d)  # NonHermitianInput is a ValueError
-        low = _min_eigval(h) * s
+        low = _top_eigh(h, len(h), vectors=False)[0][-1] * s
         if low < -1e-10:
             raise ValueError(f"density has negative eigenvalue {low:.3e}")
         _check_trace(d)
@@ -102,24 +102,20 @@ def _check_trace(d: np.ndarray) -> None:
         raise ValueError(f"density trace {tr!r} is not 1")
 
 
-def _state(d: np.ndarray) -> StateWitness:
-    """StateWitness for a density Hermitian and positive by construction
-    ((Vz)(Vz)* or I/n); only the trace is checked."""
+def _face_state(face: TopFace, z: np.ndarray) -> StateWitness:
+    """Rank-one state (Vz)(Vz)* for a unit z in face coordinates; its density
+    is Hermitian and positive by construction, so only the trace is checked."""
+    w = face.isometry @ z
+    d = np.outer(w, w.conj())
     _check_trace(d)
     p = object.__new__(StateWitness)
     object.__setattr__(p, "density", d)
     return p
 
 
-def _face_state(face: TopFace, z: np.ndarray) -> StateWitness:
-    """Rank-one state (Vz)(Vz)* for a unit z in face coordinates."""
-    w = face.isometry @ z
-    return _state(np.outer(w, w.conj()))
-
-
 def maximally_mixed(n: int) -> StateWitness:
     """The tracial state I/n."""
-    return _state(np.eye(n, dtype=np.complex128) / n)
+    return StateWitness(np.eye(n) / n)
 
 
 def top_face(x) -> TopFace:
@@ -144,14 +140,14 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
     """(||x||, u = x/||x||, top face of <u, u>) for a trusted x, from one
     decomposition of xs = x/s, s the exact power of two of :func:`_prescaled`
     (so 2^j x gives the same u): with r = ||xs|| and the top of the spectrum
-    of <xs, xs> from :func:`_face_spectrum`, ||x|| = s r and u = xs/r.  The
-    full spectrum is asked for only when every eigenvalue given joins the face.
-    The face, its gap and its near-degeneracy flag are read relative to r^2;
-    a norm below the smallest normal double gives (0.0, 0, the whole space).
+    of <xs, xs> down to the face cut from :func:`_face_spectrum`, ||x|| = s r
+    and u = xs/r.  The face, its gap and its near-degeneracy flag are read
+    relative to r^2; a norm below the smallest normal double gives (0.0, 0,
+    the whole space).
     """
     xs, s = _prescaled(x)
     n = xs.shape[1]
-    root, vals, vecs, full = _face_spectrum(xs)
+    root, vals, vecs = _face_spectrum(xs, _FACE_GAP_TOL)
     nx = s * root
     if nx == np.inf:
         raise ValueError("module norm beyond the double range")
@@ -159,11 +155,7 @@ def _unit_face(x: np.ndarray) -> tuple[float, np.ndarray, TopFace]:
         return 0.0, np.zeros_like(xs), TopFace(np.eye(n, dtype=np.complex128), 0.0,
                                                np.inf, _FACE_GAP_TOL, False)
     lam = float(vals[0])
-    cut = (1.0 - _FACE_GAP_TOL) * lam
-    k = np.count_nonzero(vals >= cut)
-    if k == len(vals) < n:
-        vals, vecs = full()
-        k = np.count_nonzero(vals >= cut)
+    k = np.count_nonzero(vals >= (1.0 - _FACE_GAP_TOL) * lam)
     # the largest eigenvalue below the face; none (gap inf) if k = n
     below = float(vals[k]) if k < len(vals) else 0.0 if k < n else -np.inf
     gap, near = (lam - below) / lam, below >= (1.0 - 10.0 * _FACE_GAP_TOL) * lam

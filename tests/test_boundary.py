@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhoperp import (ShapeMismatch, bhatia_semrl_witness, face_compression,
+from rhoperp import (ShapeMismatch, ZeroElement, bhatia_semrl_witness, face_compression,
                      is_bj, is_bj_real, is_bj_strong, is_ip_orthogonal,
                      is_norm_parallel, is_rho_orthogonal, m_lower_bound,
                      module_daugavet_check, operator_daugavet_witness, operator_norm,
@@ -224,7 +224,8 @@ def test_daugavet_calls_make_no_redundant_lapack_work(lapack_calls):
 def test_unit_face_switches_driver_above_order_8(monkeypatch):
     # top_face of an m-by-n x takes one subset zheevr and no SVD when
     # 8 < n <= 2m, else one zgesdd with vectors and no eigensolve: at most
-    # 8 columns, or wide (3x9 took zheevr while the rule read n alone)
+    # 8 columns, or wide (3x9 took zheevr while the rule read n alone); the
+    # face of a zero x is the whole space, read with no further solve
     calls = []
     for name in ("zgesdd", "zheevr", "zheevd"):
         def driver(a, *args, _name=name, _orig=getattr(matcore, name), **kwargs):
@@ -241,6 +242,10 @@ def test_unit_face_switches_driver_above_order_8(monkeypatch):
         calls.clear()
         assert top_face(random_element(rng, m, n)).dim == 1
         assert calls == expected, (m, n)
+    calls.clear()
+    with pytest.raises(ZeroElement):
+        top_face(np.zeros((9, 9)))
+    assert calls == subset
 
 
 def test_operator_witness_takes_one_top_eigenpair(monkeypatch):
@@ -422,8 +427,7 @@ def _lapack_references(source):
 
 
 # The shape policy of matcore: its crossover and the predicate of each route.
-SHAPE_POLICY = ("_SUBSET_ABOVE", "_subset_eigh", "_gram_norm", "_gram_face", "_row_ip",
-                "_row_cube")
+SHAPE_POLICY = ("_GRAM_ABOVE", "_gram_norm", "_gram_face", "_row_ip", "_row_cube")
 
 
 def test_decision_code_calls_lapack_only_through_matcore():
@@ -441,6 +445,25 @@ def test_decision_code_calls_lapack_only_through_matcore():
         names = {getattr(node, key) for node in ast.walk(tree)
                  for key in ("id", "attr", "name") if isinstance(getattr(node, key, None), str)}
         assert names.isdisjoint(SHAPE_POLICY), name
+
+
+# The drivers of the choke point and the BLAS zherk, one matcore kernel each.
+DRIVERS = (*CHOKE_POINT, "zherk")
+
+
+def test_matcore_calls_each_driver_at_one_site():
+    # a second call site of a driver would be a second kernel for the same
+    # work; every reference to a driver must be that one call
+    with open(matcore.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    calls = {node.func for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    sites = {name: [] for name in DRIVERS}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name in sites:
+                sites[name].append(node in calls)
+    assert sites == {name: [True] for name in DRIVERS}
 
 
 @pytest.mark.parametrize("source, found", [

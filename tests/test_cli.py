@@ -119,6 +119,29 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert main(["rho", "--x", str(schema), "--y", str(schema)]) == 2
 
 
+def test_bool_shape_fields_are_a_parse_error(tmp_path, capsys):
+    # JSON true is a Python int; as a shape it is rejected, not reshaped
+    bad = tmp_path / "bool.json"
+    bad.write_text(json.dumps({"rows": True, "cols": True, "entries": [[2.0, 0.0]]}))
+    assert main(["rho", "--x", str(bad), "--y", str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: rows and cols must be positive integers")
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", [["rho", "--oracle"], ["ortho", "--relation", "bj"],
+                                     ["daugavet"]], ids=["rho", "ortho", "daugavet"])
+def test_every_tol_option_is_checked(tmp_path, capsys, command, tol):
+    x = _write(tmp_path, "x.json", np.eye(2))
+    y = ["--y", x] if command[0] != "daugavet" else []
+    assert main([*command, "--x", x, *y, "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    doc = json.loads(out.out)
+    assert list(doc) == ["error"] and doc["error"].startswith("tol must be finite and >= 0")
+
+
 def test_shape_mismatch_exit_code(tmp_path, capsys):
     x = _write(tmp_path, "x.json", np.eye(2))
     y = _write(tmp_path, "y.json", np.eye(3))

@@ -162,7 +162,7 @@ def test_top_eigh_matches_the_full_spectrum_on_both_paths():
         full = hermitian_spectrum(h)
         for j in (1, 2):
             vals, vecs = _top_eigh(h, j)
-            assert len(vals) == (n if n <= matcore._SUBSET_ABOVE else j)
+            assert len(vals) == min(n, j)
             np.testing.assert_allclose(vals[:j], full.eigenvalues[:j], rtol=1e-12)
             assert np.all(np.diff(vals) <= 0.0)
             scale = full.eigenvalues[0]
@@ -176,12 +176,13 @@ def test_top_eigh_reverses_lapack_order():
     x = random_element(np.random.default_rng(7), 12, 12)
     q = np.linalg.qr(x)[0]
     cases = [(np.eye(3, dtype=np.complex128), 3, None),
-             (np.diag([2.0, 1.0, 2.0]).astype(np.complex128), 2, None),
+             (np.diag([2.0, 1.0, 2.0]).astype(np.complex128), 2, 2),
              (x.conj().T @ x, 12, None),
              ((q * np.r_[3.0, 3.0, np.linspace(0.0, 2.0, 10)]) @ q.conj().T, 2, 2)]
     for h, j, subset in cases:
         if subset:
-            w, v, m, _, info = matcore.zheevr(h, range="I", il=11, iu=12, lower=1)
+            w, v, m, _, info = matcore.zheevr(h, range="I", il=len(h) - j + 1, iu=len(h),
+                                              lower=1)
             assert (m, info) == (subset, 0)
             w = w[:m]
         else:
@@ -207,7 +208,6 @@ def test_top_eigh_guards_the_subset_solve(j, monkeypatch):
             return out
 
         monkeypatch.setattr(matcore, name, driver)
-    monkeypatch.setattr(matcore, "_SUBSET_ABOVE", 0)  # the subset path at n = 3
     vals, vecs = _top_eigh(g, j)
     assert calls == ([("zheevr", 0), ("zheevd", 3)] if j == 1 else [("zheevr", 2)])
     assert vals[0] == pytest.approx(1.0, abs=1e-15)

@@ -7,10 +7,12 @@ wherever ``|margin + tol|`` exceeds 1e-12, the same margins and values within
 a few eps at the unit-pair scale, and valid witnesses.  Near a degenerate
 face the face vector itself moves by eps over the face gap (Davis and
 Kahan, SIAM J. Numer. Anal. 7, 1970), so the margins are compared at that
-scale.
+scale.  On those shapes each predicate must also answer both ways, so that
+none of them decides nothing.
 """
 
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from rhoperp.verify import (_witness_margins, bj_orthogonal_pair, inner_orthogon
                             random_degenerate_element, random_element)
 
 # The predicate of each shape-dependent choice in matcore.
-ROUTES = ("_subset_eigh", "_gram_norm", "_gram_face", "_row_ip", "_row_cube")
+ROUTES = ("_gram_norm", "_gram_face", "_row_ip", "_row_cube")
 
 # At and around each crossover: 8/9 columns, n = 2m -/+ 1, a smaller side
 # of 8/9, and wide elements with m <= 8 and m > 8.
@@ -96,15 +98,30 @@ def _outputs(x, y):
     return verdicts, np.array(values), face
 
 
+def _recorder(name, answers):
+    taken = getattr(matcore, name)
+
+    def natural(*dims):
+        answer = taken(*dims)
+        answers.add(answer)
+        return answer
+
+    return natural
+
+
 @functools.cache
 def _natural(shape):
-    """The pairs of ``shape`` with their outputs on the routes matcore takes."""
-    return [((x, y), *_outputs(x, y)) for x, y in _pairs(*shape)]
+    """(the pairs of ``shape`` with their outputs on the routes matcore takes,
+    the set of answers each predicate gave on the way)."""
+    answers = {name: set() for name in ROUTES}
+    with mock.patch.multiple(matcore, **{name: _recorder(name, answers[name])
+                                         for name in ROUTES}):
+        return [((x, y), *_outputs(x, y)) for x, y in _pairs(*shape)], answers
 
 
 @pytest.mark.parametrize("name", ROUTES)
 def test_every_route_agrees_with_its_twin(name, monkeypatch):
-    natural = {shape: _natural(shape) for shape in SHAPES}
+    natural = {shape: _natural(shape)[0] for shape in SHAPES}
     taken, asked = getattr(matcore, name), []
 
     def twin(*dims):
@@ -122,3 +139,8 @@ def test_every_route_agrees_with_its_twin(name, monkeypatch):
                 assert holds == twin_holds or gap <= UNDECIDED, where
             assert np.abs(twin_values - values).max() <= AGREE / min(face.gap, 1.0), where
     assert asked
+
+
+@pytest.mark.parametrize("name", ROUTES)
+def test_every_route_decides_something(name):
+    assert set().union(*(_natural(shape)[1][name] for shape in SHAPES)) == {True, False}

@@ -14,7 +14,7 @@ from rhoperp import (NonHermitianInput, NotUnitVector, ShapeMismatch, StateWitne
                      is_norm_parallel, maximally_mixed, module_norm,
                      operator_norm, state_from_face_vector, state_value,
                      top_face, zero_in_numrange)
-from rhoperp.matcore import _SUBSET_ABOVE, hermitian_spectrum
+from rhoperp.matcore import _GRAM_ABOVE, hermitian_spectrum
 from rhoperp.stateface import (_UNIMODULAR_TOL, _carden_step, _minimize_support,
                                _numerical_radius, _support_extremum,
                                _unimodular_eigvals)
@@ -104,7 +104,7 @@ def test_top_face_above_the_subset_crossover_matches_the_full_spectrum(
     monkeypatch.setattr(matcore, "_top_eigh", top_eigh)
     for seed in range(5):
         x = make(np.random.default_rng(seed))
-        assert x.shape[1] > _SUBSET_ABOVE
+        assert x.shape[1] > _GRAM_ABOVE
         asked.clear()
         face = top_face(x)
         assert asked == solves
