@@ -83,8 +83,8 @@ def as_complex_matrix(a) -> np.ndarray:
 
 
 def _check_tol(tol) -> None:
-    """Raise ValueError unless ``tol`` is a finite number >= 0."""
-    if not (math.isfinite(tol) and tol >= 0.0):
+    """Raise ValueError unless ``tol`` is a finite number >= 0, not a bool."""
+    if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
 
 

@@ -1,15 +1,16 @@
 """Definition-level oracles and the seeded property suite.
 
-The oracles evaluate the defining inequalities by search instead of the
-spectral reductions used elsewhere, so they are an independent ground
-truth, by numpy alone.  The BJ oracles and the parallel oracle certify
-both verdicts: convexity of c -> ||x + c y|| with the subgradient of the
-spectral norm bounds the BJ minimum from below, and the Lipschitz constant
-||y|| of t -> ||x + e^{it} y|| bounds the parallel maximum from above,
-while an evaluated norm proves the other side.  A BJ search that runs out
-of cuts returns TRUE as evidence only.  The sampling oracle for strong BJ
-orthogonality is one-sided: its FALSE exhibits a violator, its TRUE is
-evidence at the sampling resolution.
+The oracles evaluate the defining inequalities by search or in closed
+form instead of the spectral reductions used elsewhere, so they are an
+independent ground truth, by numpy alone.  Every oracle certifies both
+verdicts: convexity of c -> ||x + c y|| with the subgradient of the
+spectral norm bounds the BJ minimum from below, the Lipschitz constant
+||y|| of t -> ||x + e^{it} y|| bounds the parallel maximum from above, and
+the projection off the range of y gives the strong BJ minimum in closed
+form, while an evaluated norm proves the other side.  A BJ search that
+runs out of cuts returns TRUE as evidence only.  The three BJ oracles
+compare at the level ||x|| (1 - 1e-6), so their verdicts do not change when
+(x, y) becomes (c x, d y).
 
 ``property_suite`` replays every documented invariant on seeded random
 instances (dimensions 1..6) and returns a deterministic structured
@@ -120,9 +121,10 @@ def incomparability_triple() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# Every BJ oracle accepts a minimum down to ||x|| - _ORACLE_TOL; a search
-# that neither finds a violator nor certifies within _ORACLE_STEPS cuts
-# returns TRUE as evidence only.
+# Every BJ oracle accepts a minimum down to ||x|| (1 - _ORACLE_TOL), and the
+# strong oracle cuts y at the rank _ORACLE_TOL ||y||; a search that neither
+# finds a violator nor certifies within _ORACLE_STEPS cuts returns TRUE as
+# evidence only.
 _ORACLE_TOL = 1e-6
 _ORACLE_STEPS = 200
 
@@ -151,17 +153,20 @@ def _bj_search(x, y, real=False):
 
     As ||x + c y|| >= |c| ||y|| - ||x||, every c with ||x + c y|| < ||x||
     lies in |c| <= R = 2 ||x||/||y||.  Each evaluated c is cut by its
-    subgradient at the level L = ||x|| - _ORACLE_TOL: a deep-cut ellipsoid
+    subgradient at the level L = ||x|| (1 - _ORACLE_TOL): a deep-cut ellipsoid
     method on the disc, or bisection with the same cut on [-R, R].  Returns
     (c, True) at the first evaluated c with ||x + c y|| < L; (None, True)
     once no violator is left: the lower bound ||x + c y|| - sqrt(g* P g) on
     the ellipsoid {(v - z)* P^-1 (v - z) <= 1} of v = c/R reaches L, or the
-    interval is cut away; and (None, False) after _ORACLE_STEPS cuts.
+    interval is cut away; and (None, False) after _ORACLE_STEPS cuts.  The
+    search runs on x/||x|| and y/||x||, which have the same violators c, so
+    that g* P g stays in the double range at any scale of x.
     """
     nx, ny = float(_norms(x)), float(_norms(y))
-    level = nx - _ORACLE_TOL
-    if ny == 0.0:
+    if nx == 0.0 or ny == 0.0:
         return None, True
+    x, y = x / nx, y / nx
+    level = 1.0 - _ORACLE_TOL
     radius = 2.0 * nx / ny
     if real:
         lo, hi = -radius, radius
@@ -203,7 +208,7 @@ def _bj_search(x, y, real=False):
 
 
 def bj_grid_oracle(x, y) -> bool:
-    """min ||x + lam y|| over complex lam >= ||x|| - 1e-6, by the ellipsoid
+    """min ||x + lam y|| over complex lam >= ||x|| (1 - 1e-6), by the ellipsoid
     method on the disc that holds every violator (:func:`_bj_search`).
     Both verdicts are certified: FALSE by an evaluated violator, TRUE by a
     subgradient lower bound, except when the search runs out of cuts, where
@@ -303,29 +308,20 @@ def parallel_grid_oracle(x, y) -> tuple[float, float]:
     return _parallel_search(*_as_pair(x, y))[:2]
 
 
-# Gaussian algebra elements per scale and the seed they are drawn from.
-_SAMPLES_PER_SCALE = 50
-_SAMPLE_SEED = 7
-
-
 def strong_bj_sample_oracle(x, y) -> bool:
-    """Search min ||x + y a|| over sampled algebra elements.
-
-    The one oracle that still samples: 50 Gaussian a at each of four
-    scales, from a fixed seed, plus the aimed one-parameter family
-    a = -c <y, x>, the canonical violator direction.  FALSE certifies a
-    violation by an evaluated a; TRUE is sampling evidence, never certified.
+    """min ||x + y a|| over algebra elements a >= ||x|| (1 - 1e-6), in
+    closed form: y a ranges over the matrices with columns in range(y), so
+    the minimum is ||(I - P_y) x||, at a = -y^+ x (Arambasic and Rajic,
+    Linear Multilinear Algebra, 2015).  y^+ is taken of y_r, y cut at the
+    rank delta = 1e-6 ||y||, and the norm is evaluated on the stored y.
+    FALSE is an evaluated violator: y a = P_r x, as the dropped part of y
+    has right singular vectors orthogonal to those of y_r.  TRUE certifies
+    ||x + y a|| >= ||(I - P_r) x|| - delta ||a|| for every a.  The name, from
+    an earlier sampling search, is kept for the bench's trace metrics.
     """
     x, y = _as_pair(x, y)
-    rng = np.random.default_rng(_SAMPLE_SEED)
-    n = x.shape[1]
-    best = np.inf
-    for scale in (1e-2, 1e-1, 1.0, 10.0):
-        a = scale * (rng.standard_normal((_SAMPLES_PER_SCALE, n, n))
-                     + 1j * rng.standard_normal((_SAMPLES_PER_SCALE, n, n))) / np.sqrt(2.0)
-        best = min(best, float(_norms(x[None] + np.matmul(y, a)).min()))
-    aimed = _batched_norms(x, -np.logspace(-3.0, 1.0, 49), y @ (y.conj().T @ x))
-    return min(best, float(aimed.min())) >= float(_norms(x)) - _ORACLE_TOL
+    a = -np.linalg.pinv(y, rcond=_ORACLE_TOL) @ x
+    return float(_norms(x + y @ a)) >= float(_norms(x)) * (1.0 - _ORACLE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -664,15 +660,7 @@ def _bj_real_vs_grid_oracle(rng, trials):
 
 @_property("strong-vs-sampling-oracle")
 def _strong_vs_sampling_oracle(rng, trials):
-    t, s, r = incomparability_triple()
-    cases = [(t, s, False), (t, r, True)]
-    cases += [(*_mixed_pair(rng, i), None) for i in range(min(trials, 100))]
-    failures = 0
-    for x, y, expected in cases:
-        ours = is_bj_strong(x, y, tol=1e-9).holds
-        failures += ours and not strong_bj_sample_oracle(x, y)
-        failures += expected is not None and ours != expected
-    return len(cases), int(failures), None
+    return _oracle_disagreements(rng, trials, is_bj_strong, strong_bj_sample_oracle)
 
 
 CHAIN_PREDICATES = (is_ip_orthogonal, is_bj_strong, is_bj, is_bj_real, is_rho_orthogonal)

@@ -135,11 +135,13 @@ TOL_OPS = {
 }
 
 
-@pytest.mark.parametrize("tol", (np.nan, np.inf, -1e-9), ids=("nan", "inf", "negative"))
+@pytest.mark.parametrize("tol", (np.nan, np.inf, -1e-9, True, False),
+                         ids=("nan", "inf", "negative", "true", "false"))
 @pytest.mark.parametrize("op", sorted(TOL_OPS))
 def test_tolerance_must_be_finite_and_nonnegative(op, tol):
     # unchecked, a NaN tol has zero_in_numrange certify membership at a
-    # negative margin, and an infinite one makes every relation hold
+    # negative margin, an infinite one makes every relation hold, and a
+    # bool would decide at 1 or 0 and be reported back as a bool
     with pytest.raises(ValueError, match="tol must be finite"):
         TOL_OPS[op](tol)
 

@@ -89,11 +89,11 @@ def _near_degenerate_element(rng, m, n):
     (lambda rng: random_degenerate_element(rng, 12, 10, 3), 3, False, [2, 10]),
     (lambda rng: _near_degenerate_element(rng, 12, 10), 1, True, [2]),
 ], ids=["generic", "rank-deficient", "dim-2", "dim-3", "near-degenerate"])
-def test_top_face_above_the_subset_crossover_matches_the_full_spectrum(
+def test_top_face_on_the_gram_route_matches_the_full_spectrum(
         monkeypatch, make, dim, near, solves):
-    # above the crossover the face is read from the top two eigenpairs and
-    # grown to the full spectrum only when both join it; it must be the
-    # face that the full spectrum of <x, x> gives
+    # on the Gram route (more than _GRAM_ABOVE columns) the face is read from
+    # the top two eigenpairs and grown to the full spectrum only when both
+    # join it; it must be the face that the full spectrum of <x, x> gives
     asked = []
 
     def top_eigh(h, j, **kwargs):

@@ -44,14 +44,16 @@ def test_bj_grid_oracle_complex_scalar_violation():
 def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
     # the oracles take lists, raise ShapeMismatch and reject NaN like every
     # public operation, and norm by numpy's SVD alone: no LAPACK call of the
-    # spectral code they check, and no scipy.optimize search
+    # spectral code they check, no scipy.optimize search and no random draw
     def trap(*args, **kwargs):
-        raise AssertionError("an oracle called a matcore LAPACK kernel or scipy.optimize")
+        raise AssertionError("an oracle called a matcore LAPACK kernel, scipy.optimize "
+                             "or a random generator")
 
     for name in ("zheevr", "zheevd", "zgesdd"):
         monkeypatch.setattr(matcore, name, trap)
     for name in ("minimize", "minimize_scalar"):
         monkeypatch.setattr(scipy.optimize, name, trap)
+    monkeypatch.setattr(np.random, "default_rng", trap)
     x, y = [[1.0], [0.0]], [[1.0j], [0.0]]
     result = oracle(x, y)
     assert (result[0] == pytest.approx(expected, abs=1e-9) if isinstance(result, tuple)
@@ -64,13 +66,13 @@ def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
 
 def _assert_search(x, y, real, holds):
     """_bj_search certifies its verdict, and a FALSE carries a violator c
-    that a fresh numpy SVD confirms: ||x + c y|| < ||x|| - 1e-6."""
+    that a fresh numpy SVD confirms: ||x + c y|| < ||x|| (1 - 1e-6)."""
     c, certified = verify._bj_search(x, y, real)
     assert certified and (c is None) == holds
     if c is not None:
         assert not real or isinstance(c, float)
         fresh = np.linalg.svd(x + c * y, compute_uv=False)[0]
-        assert fresh < np.linalg.svd(x, compute_uv=False)[0] - verify._ORACLE_TOL
+        assert fresh < np.linalg.svd(x, compute_uv=False)[0] * (1.0 - verify._ORACLE_TOL)
 
 
 def test_bj_oracles_on_column_vectors():
@@ -89,7 +91,7 @@ def test_bj_oracles_on_column_vectors():
         ip = complex((y.conj().T @ x)[0, 0])
         for real, part in ((False, abs(ip)), (True, abs(ip.real))):
             dist = np.sqrt(max(nx * nx - (part / ny) ** 2, 0.0))
-            _assert_search(x, y, real, dist >= nx - verify._ORACLE_TOL)
+            _assert_search(x, y, real, dist >= nx * (1.0 - verify._ORACLE_TOL))
 
 
 def _two_dim_face_pair(rng, m, n, bj):
@@ -107,15 +109,16 @@ def _two_dim_face_pair(rng, m, n, bj):
 
 def test_bj_oracles_certify_two_dim_faces_and_scale_ratios():
     # the verdicts of is_bj and is_bj_real, each certified by the search,
-    # with ||x||/||y|| spread over 10^[-3, 3] and at 10^160 (the tolerance
-    # 1e-6 is absolute, so a far smaller ||x|| reads TRUE)
+    # with ||x||/||y|| spread over 10^[-3, 3] and at 10^160 and 10^-160 (the
+    # level ||x|| (1 - 1e-6) is relative, so a tiny ||x|| decides as well)
     rng = np.random.default_rng(61)
     for i in range(40):
         m, n = (int(v) for v in rng.integers(2, 7, size=2))
         x, y = _two_dim_face_pair(rng, m, n, bj=i % 2 == 0)
         assert top_face(x).dim == 2
         ratio = 10.0 ** rng.uniform(-3.0, 3.0)
-        for xs, ys in ((x, y), (ratio * x, y), (x, ratio * y), (x, 1e-160 * y)):
+        for xs, ys in ((x, y), (ratio * x, y), (x, ratio * y), (x, 1e-160 * y),
+                       (1e-160 * x, y)):
             _assert_search(xs, ys, False, is_bj(xs, ys).holds)
             _assert_search(xs, ys, True, is_bj_real(xs, ys).holds)
         if i % 2 == 0:
@@ -159,10 +162,46 @@ def test_bj_real_grid_oracle_agreement_sweep():
 
 
 def test_strong_sample_oracle_reference_cases():
+    # min_a ||x + y a|| = ||(I - P_y) x||, with P_y the projection onto range(y)
     assert not strong_bj_sample_oracle(T, S)  # a = -C zeroes T + Sa
     assert strong_bj_sample_oracle(T, R)
-    x, y = inner_orthogonal_pair(np.random.default_rng(55), 4, 2)
+    rng = np.random.default_rng(55)
+    x, y = inner_orthogonal_pair(rng, 4, 2)
     assert strong_bj_sample_oracle(x, y)
+    # y of full column rank, m >= n: TRUE off range(y), FALSE for x = y b
+    y = random_element(rng, 5, 2)
+    q = np.linalg.qr(y, mode="complete")[0]
+    assert strong_bj_sample_oracle(q[:, 2:] @ random_element(rng, 3, 2), y)
+    assert not strong_bj_sample_oracle(y @ random_element(rng, 2, 2), y)
+    # a generic wide y has P_y = I: FALSE for every nonzero x
+    for _ in range(5):
+        assert not strong_bj_sample_oracle(random_element(rng, 2, 5), random_element(rng, 2, 5))
+    # rank 1 at 5x6, stored with singular values from 2e-16 to 3e-15: the
+    # rank cut keeps a = -y^+ x, of norm near 1e16 without it, from lowering
+    # the norm by rounding alone
+    x, y = inner_orthogonal_pair(np.random.default_rng(0), 5, 6)
+    assert np.linalg.svd(y, compute_uv=False)[1] < 1e-14
+    assert strong_bj_sample_oracle(x, y)
+    assert strong_bj_sample_oracle(x, np.zeros_like(x))
+
+
+def test_bj_oracles_are_homogeneous():
+    # each BJ oracle gives the verdict on (c x, d y) that it gives on (x, y):
+    # a generic pair (FALSE), a BJ-orthogonal pair (TRUE for bj and bj-real)
+    # and an ip-orthogonal pair (TRUE for all three)
+    rng = np.random.default_rng(65)
+    pairs = [(random_element(rng, 3, 3), random_element(rng, 3, 3)),
+             bj_orthogonal_pair(rng, 4, 3), inner_orthogonal_pair(rng, 3, 4)]
+    for oracle in (bj_grid_oracle, bj_real_grid_oracle, strong_bj_sample_oracle):
+        for k, (x, y) in enumerate(pairs):
+            want = oracle(x, y)
+            assert want == (k == 2 or (k == 1 and oracle is not strong_bj_sample_oracle))
+            for c in (1e-150, 1e-8, 1e8, 1e150):
+                for d in (1e-150, 1e-8, 1e8, 1e150):
+                    assert oracle(c * x, d * y) == want, (oracle.__name__, k, c, d)
+    # x = 0: min ||c y|| = 0 = ||x||, certified without a cut
+    for real in (False, True):
+        _assert_search(np.zeros_like(x), y, real, True)
 
 
 def _parallel_sweep_pairs(rng):
