@@ -9,8 +9,9 @@ spectral norm bounds the BJ minimum from below, the Lipschitz constant
 the projection off the range of y gives the strong BJ minimum in closed
 form, while an evaluated norm proves the other side.  A BJ search that
 runs out of cuts returns TRUE as evidence only.  The three BJ oracles
-compare at the level ||x|| (1 - 1e-6), so their verdicts do not change when
-(x, y) becomes (c x, d y).
+run on x/||x|| and y/||y|| and compare at the level ||x|| (1 - 1e-6), so
+their verdicts do not change when (x, y) becomes (c x, d y), for any
+nonzero scalars c and d across the whole double range.
 
 ``property_suite`` replays every documented invariant on seeded random
 instances (dimensions 1..6) and returns a deterministic structured
@@ -21,13 +22,14 @@ violation).
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.optimize  # noqa: F401  kept loaded: perfbench/tracer.py looks it up in sys.modules
 
 from .daugavet import (module_daugavet_check, operator_daugavet_witness,
                        rho_cube_identity)
@@ -39,6 +41,17 @@ from .ortho import (bhatia_semrl_witness, is_bj, is_bj_real, is_bj_strong,
                     m_lower_bound)
 from .stateface import (StateWitness, cauchy_schwarz_gap, state_value,
                         top_face, zero_in_numrange)
+
+# No rhoperp code uses scipy.optimize, but perfbench/tracer.py looks it up in
+# sys.modules, and its first attribute read there also loads scipy.spatial.
+# So the module is registered lazily: the name resolves, and scipy runs its
+# code only on that first read.  Delete this shim once the tracer's TRACED
+# drops minimize, minimize_scalar and ConvexHull.
+if "scipy.optimize" not in sys.modules:
+    _spec = importlib.util.find_spec("scipy.optimize")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["scipy.optimize"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["scipy.optimize"])
 
 # ---------------------------------------------------------------------------
 # Instance generation
@@ -147,34 +160,45 @@ def _top_pair(x, c, y):
     return float(s[0]), complex(u[:, 0].conj() @ y @ vh[0].conj())
 
 
+def _unit_pair(x, y):
+    """(x/||x||, y/||y||, ||x||/||y||), or None when x or y is 0, where every
+    BJ oracle reads TRUE.  The unit pair has the verdicts of (x, y), and its
+    violators times ||x||/||y|| are those of (x, y), so the oracles run on it
+    and stay in the double range at any scale of x and y."""
+    nx, ny = float(_norms(x)), float(_norms(y))
+    if nx == 0.0 or ny == 0.0:
+        return None
+    return x / nx, y / ny, nx / ny
+
+
 def _bj_search(x, y, real=False):
     """(violator, certified) for min ||x + c y|| over complex c (real c
     with ``real``), on a validated pair.
 
-    As ||x + c y|| >= |c| ||y|| - ||x||, every c with ||x + c y|| < ||x||
-    lies in |c| <= R = 2 ||x||/||y||.  Each evaluated c is cut by its
-    subgradient at the level L = ||x|| (1 - _ORACLE_TOL): a deep-cut ellipsoid
-    method on the disc, or bisection with the same cut on [-R, R].  Returns
-    (c, True) at the first evaluated c with ||x + c y|| < L; (None, True)
-    once no violator is left: the lower bound ||x + c y|| - sqrt(g* P g) on
-    the ellipsoid {(v - z)* P^-1 (v - z) <= 1} of v = c/R reaches L, or the
-    interval is cut away; and (None, False) after _ORACLE_STEPS cuts.  The
-    search runs on x/||x|| and y/||x||, which have the same violators c, so
-    that g* P g stays in the double range at any scale of x.
+    The search runs on the unit pair (:func:`_unit_pair`), where
+    ||x + c y|| >= |c| - 1 puts every c with ||x + c y|| < 1 in |c| <= 2.
+    Each evaluated c is cut by its subgradient at the level
+    L = 1 - _ORACLE_TOL: a deep-cut ellipsoid method on the disc, or
+    bisection with the same cut on [-2, 2].  Returns (c ||x||/||y||, True)
+    at the first evaluated c with ||x + c y|| < L, a violator of the pair as
+    given wherever that product neither overflows nor underflows;
+    (None, True) once no violator is left: the lower bound
+    ||x + c y|| - sqrt(g* P g) on the ellipsoid {(v - z)* P^-1 (v - z) <= 1}
+    around z = (Re c, Im c) reaches L, or the interval is cut away; and
+    (None, False) after _ORACLE_STEPS cuts.
     """
-    nx, ny = float(_norms(x)), float(_norms(y))
-    if nx == 0.0 or ny == 0.0:
+    unit = _unit_pair(x, y)
+    if unit is None:
         return None, True
-    x, y = x / nx, y / nx
+    x, y, ratio = unit
     level = 1.0 - _ORACLE_TOL
-    radius = 2.0 * nx / ny
     if real:
-        lo, hi = -radius, radius
+        lo, hi = -2.0, 2.0
         for _ in range(_ORACLE_STEPS):
             c = (lo + hi) / 2.0
             f, a = _top_pair(x, c, y)
             if f < level:
-                return c, True
+                return c * ratio, True
             if a.real == 0.0:
                 return None, True
             # a violator v has a.real (v - c) < L - f
@@ -185,14 +209,14 @@ def _bj_search(x, y, real=False):
             if lo > hi:
                 return None, True
         return None, False
-    # z = c / R, so the unit disc, with no R^2 to overflow
-    z, p = np.zeros(2), np.eye(2)
+    # the disc |c| <= 2, as (Re c, Im c)
+    z, p = np.zeros(2), 4.0 * np.eye(2)
     for _ in range(_ORACLE_STEPS):
-        c = radius * complex(z[0], z[1])
+        c = complex(z[0], z[1])
         f, a = _top_pair(x, c, y)
         if f < level:
-            return c, True
-        g = radius * np.array([a.real, -a.imag])
+            return c * ratio, True
+        g = np.array([a.real, -a.imag])
         pg = p @ g
         spread = float(np.sqrt(g @ pg))
         if f - spread >= level:
@@ -313,15 +337,20 @@ def strong_bj_sample_oracle(x, y) -> bool:
     closed form: y a ranges over the matrices with columns in range(y), so
     the minimum is ||(I - P_y) x||, at a = -y^+ x (Arambasic and Rajic,
     Linear Multilinear Algebra, 2015).  y^+ is taken of y_r, y cut at the
-    rank delta = 1e-6 ||y||, and the norm is evaluated on the stored y.
-    FALSE is an evaluated violator: y a = P_r x, as the dropped part of y
-    has right singular vectors orthogonal to those of y_r.  TRUE certifies
-    ||x + y a|| >= ||(I - P_r) x|| - delta ||a|| for every a.  The name, from
-    an earlier sampling search, is kept for the bench's trace metrics.
+    rank delta = 1e-6 ||y||, all on the unit pair (:func:`_unit_pair`).
+    FALSE is an evaluated violator, and a ||x||/||y|| is one of the pair
+    as given: y a = P_r x, as the dropped part of y has right singular
+    vectors orthogonal to those of y_r.  TRUE certifies
+    ||x + y a|| >= ||(I - P_r) x|| - delta ||a|| for every a on the unit pair.
+    The name, from an earlier sampling search, is kept for the bench's trace
+    metrics.
     """
-    x, y = _as_pair(x, y)
+    unit = _unit_pair(*_as_pair(x, y))
+    if unit is None:
+        return True
+    x, y, _ = unit
     a = -np.linalg.pinv(y, rcond=_ORACLE_TOL) @ x
-    return float(_norms(x + y @ a)) >= float(_norms(x)) * (1.0 - _ORACLE_TOL)
+    return float(_norms(x + y @ a)) >= 1.0 - _ORACLE_TOL
 
 
 # ---------------------------------------------------------------------------

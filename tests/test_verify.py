@@ -66,11 +66,17 @@ def test_oracles_validate_at_the_boundary(oracle, expected, monkeypatch):
 
 def _assert_search(x, y, real, holds):
     """_bj_search certifies its verdict, and a FALSE carries a violator c
-    that a fresh numpy SVD confirms: ||x + c y|| < ||x|| (1 - 1e-6)."""
+    that a fresh numpy SVD confirms: ||x + c y|| < ||x|| (1 - 1e-6).  Where
+    c, the unit pair's violator times ||x||/||y||, is not a finite normal
+    double, the unit pair's own violator is confirmed instead."""
     c, certified = verify._bj_search(x, y, real)
     assert certified and (c is None) == holds
     if c is not None:
         assert not real or isinstance(c, float)
+        if not np.finfo(float).tiny <= abs(c) <= np.finfo(float).max:
+            x = x / np.linalg.svd(x, compute_uv=False)[0]
+            y = y / np.linalg.svd(y, compute_uv=False)[0]
+            c, _ = verify._bj_search(x, y, real)
         fresh = np.linalg.svd(x + c * y, compute_uv=False)[0]
         assert fresh < np.linalg.svd(x, compute_uv=False)[0] * (1.0 - verify._ORACLE_TOL)
 
@@ -188,7 +194,8 @@ def test_strong_sample_oracle_reference_cases():
 def test_bj_oracles_are_homogeneous():
     # each BJ oracle gives the verdict on (c x, d y) that it gives on (x, y):
     # a generic pair (FALSE), a BJ-orthogonal pair (TRUE for bj and bj-real)
-    # and an ip-orthogonal pair (TRUE for all three)
+    # and an ip-orthogonal pair (TRUE for all three), also where d/c or c/d
+    # leaves the double range; the searches certify each verdict
     rng = np.random.default_rng(65)
     pairs = [(random_element(rng, 3, 3), random_element(rng, 3, 3)),
              bj_orthogonal_pair(rng, 4, 3), inner_orthogonal_pair(rng, 3, 4)]
@@ -196,9 +203,13 @@ def test_bj_oracles_are_homogeneous():
         for k, (x, y) in enumerate(pairs):
             want = oracle(x, y)
             assert want == (k == 2 or (k == 1 and oracle is not strong_bj_sample_oracle))
-            for c in (1e-150, 1e-8, 1e8, 1e150):
-                for d in (1e-150, 1e-8, 1e8, 1e150):
-                    assert oracle(c * x, d * y) == want, (oracle.__name__, k, c, d)
+            scales = [(c, d) for c in (1e-150, 1e-8, 1e8, 1e150)
+                      for d in (1e-150, 1e-8, 1e8, 1e150)]
+            scales += [(1e-200, 1e200), (1e200, 1e-200), (1e-300, 1e300), (1e300, 1e-300)]
+            for c, d in scales:
+                assert oracle(c * x, d * y) == want, (oracle.__name__, k, c, d)
+                if oracle is not strong_bj_sample_oracle:
+                    _assert_search(c * x, d * y, oracle is bj_real_grid_oracle, want)
     # x = 0: min ||c y|| = 0 = ||x||, certified without a cut
     for real in (False, True):
         _assert_search(np.zeros_like(x), y, real, True)
